@@ -10,7 +10,8 @@
 //! The implementation mirrors the paper's design:
 //!
 //! * one **long-lived worker per source partition** pulls records and
-//!   pushes them through a compiled per-record pipeline (no task
+//!   pushes them one at a time through the plan's [`StatelessChain`],
+//!   the same compiled chain microbatch epochs run (no task
 //!   scheduling on the data path — that is exactly why latency beats
 //!   microbatch mode, Figure 7);
 //! * a **coordinator** periodically snapshots every worker's offset and
@@ -33,14 +34,12 @@ use parking_lot::Mutex;
 use ss_bus::MessageBus;
 use ss_common::clock::{system_clock, ClockRef};
 use ss_common::eventlog::{EVENT_PROGRESS, EVENT_START, EVENT_TERMINATE};
-use ss_common::{
-    EventLog, FaultRegistry, MetricsRegistry, Result, Row, Schema, SchemaRef, SsError, TraceLog,
-};
-use ss_expr::eval::evaluate_row;
-use ss_expr::Expr;
+use ss_common::{EventLog, FaultRegistry, MetricsRegistry, Result, Row, SsError, TraceLog};
 use ss_plan::{plan_fingerprint, LogicalPlan};
 use ss_state::CheckpointBackend;
 use ss_wal::{EpochCommit, EpochOffsets, Manifest, OffsetRange, WriteAheadLog, MANIFEST_VERSION};
+
+use crate::chain::{ChainOp, StatelessChain};
 
 /// Continuous-mode fail points, fired through
 /// [`ContinuousConfig::faults`]. The coordinator's WAL additionally
@@ -53,131 +52,26 @@ pub mod failpoints {
     pub const SINK_COMMIT: &str = "continuous.sink.commit";
 }
 
-/// One stage of the compiled per-record pipeline.
-#[derive(Debug)]
-enum RecordOp {
-    Filter(Expr),
-    Project { exprs: Vec<Expr>, schema: SchemaRef },
-}
-
-/// The compiled map-like pipeline of a continuous query.
-#[derive(Debug)]
-pub struct RecordPipeline {
-    source_name: String,
-    input_schema: SchemaRef,
-    ops: Vec<RecordOp>,
-    output_schema: SchemaRef,
-}
-
-impl RecordPipeline {
-    /// Compile an analyzed plan, rejecting anything that is not
-    /// map-like (the Spark 2.3 restriction the paper describes).
-    pub fn compile(plan: &LogicalPlan) -> Result<RecordPipeline> {
-        let mut ops_rev: Vec<RecordOp> = Vec::new();
-        let mut node = plan;
-        loop {
-            match node {
-                LogicalPlan::Scan {
-                    name,
-                    schema,
-                    streaming,
-                    projection,
-                } => {
-                    if !streaming {
-                        return Err(SsError::Unsupported(
-                            "continuous processing requires a streaming source".into(),
-                        ));
-                    }
-                    if let Some(idx) = projection {
-                        // A pushed-down projection becomes a leading
-                        // Project stage.
-                        let exprs: Vec<Expr> = idx
-                            .iter()
-                            .map(|&i| ss_expr::col(schema.field(i).name.clone()))
-                            .collect();
-                        let proj_schema = Arc::new(schema.project(idx)?);
-                        ops_rev.push(RecordOp::Project {
-                            exprs,
-                            schema: proj_schema,
-                        });
-                    }
-                    let mut ops: Vec<RecordOp> = ops_rev;
-                    ops.reverse();
-                    let input_schema = schema.clone();
-                    let mut current: SchemaRef = input_schema.clone();
-                    // Recompute the output schema by walking the ops.
-                    for op in &ops {
-                        if let RecordOp::Project { schema, .. } = op {
-                            current = schema.clone();
-                        }
-                    }
-                    return Ok(RecordPipeline {
-                        source_name: name.clone(),
-                        input_schema,
-                        ops,
-                        output_schema: current,
-                    });
-                }
-                LogicalPlan::Filter { input, predicate } => {
-                    ops_rev.push(RecordOp::Filter(predicate.clone()));
-                    node = input;
-                }
-                LogicalPlan::Project { input, exprs } => {
-                    let schema = node.schema()?;
-                    ops_rev.push(RecordOp::Project {
-                        exprs: exprs.clone(),
-                        schema,
-                    });
-                    node = input;
-                }
-                // Watermarks are metadata-only; harmless to skip in a
-                // map-only pipeline.
-                LogicalPlan::Watermark { input, .. } => {
-                    node = input;
-                }
-                other => {
-                    return Err(SsError::Unsupported(format!(
-                        "continuous processing supports only map-like jobs \
-                         (selections/projections); found {}",
-                        other.describe()
-                    )))
-                }
-            }
+/// Compile an optimized plan for record-at-a-time execution, rejecting
+/// anything that is not map-like (the Spark 2.3 restriction the paper
+/// describes): only filters, projections and watermarks over one
+/// streaming source.
+fn compile_map_like(plan: &LogicalPlan) -> Result<StatelessChain> {
+    let (chain, rest) = StatelessChain::compile(plan, &Default::default(), None)?;
+    let joins = chain.ops().iter().any(|op| matches!(op, ChainOp::StaticJoin(_)));
+    let found = match rest {
+        None if !joins => return Ok(chain),
+        None => "a stream–static join".to_string(),
+        Some(LogicalPlan::Scan { .. }) => {
+            return Err(SsError::Unsupported(
+                "continuous processing requires a streaming source".into(),
+            ))
         }
-    }
-
-    pub fn source_name(&self) -> &str {
-        &self.source_name
-    }
-
-    pub fn output_schema(&self) -> &SchemaRef {
-        &self.output_schema
-    }
-
-    /// Process one record; `None` if filtered out.
-    #[inline]
-    pub fn process(&self, row: &Row) -> Result<Option<Row>> {
-        let mut current = row.clone();
-        let mut schema: &Schema = &self.input_schema;
-        for op in &self.ops {
-            match op {
-                RecordOp::Filter(pred) => {
-                    if evaluate_row(pred, schema, &current)?.as_bool()? != Some(true) {
-                        return Ok(None);
-                    }
-                }
-                RecordOp::Project { exprs, schema: s } => {
-                    let mut out = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        out.push(evaluate_row(e, schema, &current)?);
-                    }
-                    current = Row::new(out);
-                    schema = s;
-                }
-            }
-        }
-        Ok(Some(current))
-    }
+        Some(other) => other.describe(),
+    };
+    Err(SsError::Unsupported(format!(
+        "continuous processing supports only map-like jobs (selections/projections); found {found}"
+    )))
 }
 
 /// Where processed records go.
@@ -257,7 +151,7 @@ impl ContinuousQuery {
     ) -> Result<ContinuousQuery> {
         let analyzed = ss_plan::analyze(plan)?;
         let optimized = ss_plan::optimize(&analyzed)?;
-        let pipeline = Arc::new(RecordPipeline::compile(&optimized)?);
+        let chain = Arc::new(compile_map_like(&optimized)?);
         let partitions = bus.num_partitions(topic)?;
 
         let registry = MetricsRegistry::new();
@@ -378,7 +272,7 @@ impl ContinuousQuery {
             let shared = shared.clone();
             let bus = bus.clone();
             let topic = topic.to_string();
-            let pipeline = pipeline.clone();
+            let chain = chain.clone();
             let sink = sink.clone();
             let config = config.clone();
             let rows_counter = rows_counter.clone();
@@ -410,7 +304,7 @@ impl ContinuousQuery {
                         return;
                     }
                     for rec in records {
-                        match pipeline.process(&rec.row) {
+                        match chain.apply_row(&rec.row) {
                             Ok(Some(out)) => {
                                 if let Err(e) = config
                                     .faults
@@ -595,7 +489,7 @@ pub fn percentile(sorted_us: &[i64], p: f64) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_common::{row, DataType, Field};
+    use ss_common::{row, DataType, Field, Schema, SchemaRef};
     use ss_expr::{col, lit};
     use ss_plan::LogicalPlanBuilder;
     use ss_state::MemoryBackend;
@@ -615,17 +509,37 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_compiles_and_processes_records() {
+    fn map_like_plan_compiles_and_processes_records() {
         let plan = map_plan();
         let optimized = ss_plan::optimize(&ss_plan::analyze(&plan).unwrap()).unwrap();
-        let p = RecordPipeline::compile(&optimized).unwrap();
-        assert_eq!(p.source_name(), "in");
-        assert_eq!(p.output_schema().field_names(), vec!["v2"]);
+        let chain = compile_map_like(&optimized).unwrap();
+        assert_eq!(chain.scan().map(|s| s.name.as_str()), Some("in"));
+        assert_eq!(chain.output_schema().field_names(), vec!["v2"]);
         assert_eq!(
-            p.process(&row!["view", 21i64]).unwrap(),
+            chain.apply_row(&row!["view", 21i64]).unwrap(),
             Some(row![42i64])
         );
-        assert_eq!(p.process(&row!["click", 21i64]).unwrap(), None);
+        assert_eq!(chain.apply_row(&row!["click", 21i64]).unwrap(), None);
+    }
+
+    #[test]
+    fn a_pushed_down_scan_projection_narrows_unprojected_records() {
+        let wide = Schema::of(vec![
+            Field::new("kind", DataType::Utf8),
+            Field::new("v", DataType::Int64),
+            Field::new("pad", DataType::Utf8),
+        ]);
+        let plan = LogicalPlanBuilder::scan("in", wide, true)
+            .filter(col("kind").eq(lit("view")))
+            .project(vec![col("kind"), col("v")])
+            .build();
+        let optimized = ss_plan::optimize(&ss_plan::analyze(&plan).unwrap()).unwrap();
+        let chain = compile_map_like(&optimized).unwrap();
+        assert_eq!(
+            chain.apply_row(&row!["view", 7i64, "x"]).unwrap(),
+            Some(row!["view", 7i64])
+        );
+        assert_eq!(chain.apply_row(&row!["click", 7i64, "x"]).unwrap(), None);
     }
 
     #[test]
@@ -633,7 +547,17 @@ mod tests {
         let plan = LogicalPlanBuilder::scan("in", schema(), true)
             .aggregate(vec![col("kind")], vec![ss_expr::count_star()])
             .build();
-        let err = RecordPipeline::compile(&plan).unwrap_err();
+        let err = compile_map_like(&plan).unwrap_err();
+        assert!(err.to_string().contains("map-like"));
+        let statics = LogicalPlanBuilder::scan("t", schema(), false);
+        let joined = LogicalPlanBuilder::scan("in", schema(), true)
+            .join(
+                statics,
+                ss_plan::JoinType::Inner,
+                vec![(col("kind"), col("kind"))],
+            )
+            .build();
+        let err = compile_map_like(&joined).unwrap_err();
         assert!(err.to_string().contains("map-like"));
     }
 

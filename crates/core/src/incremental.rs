@@ -8,12 +8,8 @@
 //!
 //! | Logical node | Incremental operator |
 //! |---|---|
-//! | streaming `Scan` | bind the epoch's new offset range |
-//! | static `Scan`/subtree | execute once via the batch engine, cache |
-//! | `Filter`/`Project` | stateless per-epoch (`ss-exec` kernels) |
-//! | `Watermark` | observe max event time; drop late rows (§4.3.1) |
+//! | streaming `Scan`, `Filter`, `Project`, `Watermark`, stream×static `Join` | one [`StatelessChain`] per stateless run ([`crate::chain`]); the static side runs once via the batch engine and is cached |
 //! | `Aggregate` | `StatefulAggregate`: a [`HashAggregator`] whose groups live in the state store; emission follows the query's output mode |
-//! | stream×static `Join` | per-epoch hash join against the cached static side |
 //! | stream×stream `Join` | symmetric stateful join ([`StreamJoinExec`]) |
 //! | `MapGroupsWithState` | stateful UDF operator ([`crate::stateful`]) |
 //! | `Distinct` | stateful dedup (seen-set in the state store) |
@@ -24,7 +20,7 @@
 //! mode of each operator is inferred here — users never specify
 //! intra-DAG modes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,13 +29,12 @@ use rustc_hash::FxHashSet;
 use ss_common::{FaultRegistry, RecordBatch, Result, Row, SchemaRef, SsError};
 use ss_exec::aggregate::HashAggregator;
 use ss_exec::executor::Catalog;
-use ss_exec::join::hash_join_projected;
 use ss_exec::ops;
-use ss_expr::Expr;
 use ss_plan::stateful::StatefulOpDef;
-use ss_plan::{JoinType, LogicalPlan, OutputMode, SortKey};
+use ss_plan::{LogicalPlan, OutputMode, SortKey};
 use ss_state::{StateEntry, StateStore};
 
+use crate::chain::{ChainEnv, StatelessChain};
 use crate::sjoin::{JoinSide, StreamJoinExec};
 use crate::stateful::execute_map_groups;
 use crate::watermark::WatermarkTracker;
@@ -140,41 +135,12 @@ pub struct EpochContext<'a> {
 
 /// A tree of incremental operators.
 pub enum IncNode {
-    StreamScan {
-        name: String,
-        schema: SchemaRef,
-        projection: Option<Vec<usize>>,
-        /// True when the same source is scanned more than once in the
-        /// plan (e.g. a stream self-join): the epoch input must then be
-        /// cloned rather than moved out of the input map.
-        shared: bool,
-    },
-    Filter {
-        input: Box<IncNode>,
-        predicate: Expr,
-    },
-    Project {
-        input: Box<IncNode>,
-        exprs: Vec<Expr>,
-        schema: SchemaRef,
-    },
-    Watermark {
-        input: Box<IncNode>,
-        column: String,
-        delay_us: i64,
-    },
-    StaticJoin {
-        stream: Box<IncNode>,
-        static_plan: Arc<LogicalPlan>,
-        cache: Option<RecordBatch>,
-        stream_is_left: bool,
-        join_type: JoinType,
-        on: Vec<(Expr, Expr)>,
-        /// Output columns to materialize (indices into the full join
-        /// output); filled in when a parent aggregation only reads a
-        /// subset, so join keys are never copied into the output.
-        output_projection: Option<Vec<usize>>,
-        schema: SchemaRef,
+    /// A stateless run: the input operator's output (or, with no input,
+    /// the chain's streaming scan) through the chain's ops. Shared by
+    /// reference with the parallel executor's map tasks.
+    Chain {
+        input: Option<Box<IncNode>>,
+        chain: Arc<StatelessChain>,
     },
     StreamJoin {
         left: Box<IncNode>,
@@ -210,18 +176,8 @@ impl IncNode {
     /// The operator's output schema.
     pub fn schema(&self) -> SchemaRef {
         match self {
-            IncNode::StreamScan {
-                schema, projection, ..
-            } => match projection {
-                Some(idx) => Arc::new(schema.project(idx).expect("validated projection")),
-                None => schema.clone(),
-            },
-            IncNode::Filter { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::Sort { input, .. }
-            | IncNode::Limit { input, .. } => input.schema(),
-            IncNode::Project { schema, .. } => schema.clone(),
-            IncNode::StaticJoin { schema, .. } => schema.clone(),
+            IncNode::Chain { chain, .. } => chain.output_schema(),
+            IncNode::Sort { input, .. } | IncNode::Limit { input, .. } => input.schema(),
             IncNode::StreamJoin { exec, .. } => exec.output_schema.clone(),
             IncNode::Aggregate { agg, .. } => agg.output_schema().clone(),
             IncNode::MapGroups { op, .. } => op.output_schema.clone(),
@@ -230,23 +186,20 @@ impl IncNode {
     }
 
     /// The operator's stable metric label. Nodes with inherent identity
-    /// (scans, watermarks, stateful op_ids) use it; stateless nodes are
-    /// disambiguated with their post-order record sequence number,
-    /// which is deterministic for a fixed plan.
-    fn op_label(&self, seq: usize) -> String {
-        match self {
-            IncNode::StreamScan { name, .. } => format!("scan:{name}"),
-            IncNode::Filter { .. } => format!("filter#{seq}"),
-            IncNode::Project { .. } => format!("project#{seq}"),
-            IncNode::Watermark { column, .. } => format!("watermark:{column}"),
-            IncNode::StaticJoin { .. } => format!("static-join#{seq}"),
+    /// (stateful op_ids) use it; the others are disambiguated with
+    /// their post-order record sequence number, which is deterministic
+    /// for a fixed plan. `None` for chains, which record their scan and
+    /// every op themselves.
+    fn op_label(&self, seq: usize) -> Option<String> {
+        Some(match self {
+            IncNode::Chain { .. } => return None,
             IncNode::StreamJoin { exec, .. } => exec.op_id.clone(),
             IncNode::Aggregate { op_id, .. }
             | IncNode::MapGroups { op_id, .. }
             | IncNode::Distinct { op_id, .. } => op_id.clone(),
             IncNode::Sort { .. } => format!("sort#{seq}"),
             IncNode::Limit { .. } => format!("limit#{seq}"),
-        }
+        })
     }
 
     /// Execute one epoch, returning this operator's output delta (or,
@@ -257,128 +210,16 @@ impl IncNode {
         let started = Instant::now();
         let out = self.execute_op(ctx)?;
         let duration = started.elapsed().as_micros() as u64;
-        let label = self.op_label(ctx.ops.stats().len());
-        ctx.ops
-            .record(label, out.num_rows() as u64, started_rel, duration);
+        if let Some(label) = self.op_label(ctx.ops.stats().len()) {
+            ctx.ops
+                .record(label, out.num_rows() as u64, started_rel, duration);
+        }
         Ok(out)
     }
 
     fn execute_op(&mut self, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
         match self {
-            IncNode::StreamScan {
-                name,
-                schema,
-                projection,
-                shared,
-            } => {
-                let projected_schema = match projection {
-                    Some(idx) => Arc::new(schema.project(idx)?),
-                    None => schema.clone(),
-                };
-                let batch = if *shared {
-                    ctx.inputs.get(name).cloned()
-                } else {
-                    ctx.inputs.remove(name)
-                };
-                let batch = match batch {
-                    Some(b) => b,
-                    None => return Ok(RecordBatch::empty(projected_schema)),
-                };
-                // The engine pushes the projection into the source
-                // read, so the batch usually arrives pre-projected.
-                if batch.schema().fields() == projected_schema.fields() {
-                    Ok(batch)
-                } else {
-                    match projection {
-                        Some(idx) => batch.project(idx),
-                        None => Ok(batch),
-                    }
-                }
-            }
-            IncNode::Filter { input, predicate } => {
-                let batch = input.execute_epoch(ctx)?;
-                if batch.num_rows() > 0 {
-                    ctx.faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::filter_batch(&batch, predicate)
-            }
-            IncNode::Project { input, exprs, .. } => {
-                // Fuse Project(Filter(x)): never materialize filtered
-                // columns the projection drops.
-                if let IncNode::Filter {
-                    input: filter_input,
-                    predicate,
-                } = input.as_mut()
-                {
-                    let batch = filter_input.execute_epoch(ctx)?;
-                    if batch.num_rows() > 0 {
-                        ctx.faults.fire(ops::failpoints::RECORD_EVAL)?;
-                    }
-                    return ops::filter_project_batch(&batch, predicate, exprs);
-                }
-                let batch = input.execute_epoch(ctx)?;
-                if batch.num_rows() > 0 {
-                    ctx.faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::project_batch(&batch, exprs)
-            }
-            IncNode::Watermark {
-                input,
-                column,
-                delay_us: _,
-            } => {
-                let batch = input.execute_epoch(ctx)?;
-                let col = batch.column_by_name(column)?;
-                // Observe the max event time for the watermark update
-                // at the epoch boundary.
-                let mut max_seen = i64::MIN;
-                let tc = col.as_i64()?;
-                for i in 0..tc.len() {
-                    if let Some(&v) = tc.get(i) {
-                        max_seen = max_seen.max(v);
-                    }
-                }
-                if max_seen > i64::MIN {
-                    ctx.tracker.observe(column, max_seen);
-                }
-                // Drop rows already later than the in-force watermark:
-                // downstream stateful operators have (or may have)
-                // finalized their groups.
-                if ctx.watermark_us > i64::MIN {
-                    let wm = ctx.watermark_us;
-                    let mask: Vec<bool> = (0..tc.len())
-                        .map(|i| tc.get(i).is_none_or(|&v| v >= wm))
-                        .collect();
-                    batch.filter(&mask)
-                } else {
-                    Ok(batch)
-                }
-            }
-            IncNode::StaticJoin {
-                stream,
-                static_plan,
-                cache,
-                stream_is_left,
-                join_type,
-                on,
-                output_projection,
-                ..
-            } => {
-                let delta = stream.execute_epoch(ctx)?;
-                if cache.is_none() {
-                    // The static side is computed once per query run
-                    // using the batch engine (§3: "compute a static
-                    // table [...] and join it with a stream").
-                    *cache = Some(ss_exec::execute(static_plan, ctx.statics)?);
-                }
-                let static_batch = cache.as_ref().expect("just filled");
-                let proj = output_projection.as_deref();
-                if *stream_is_left {
-                    hash_join_projected(&delta, static_batch, *join_type, on, proj)
-                } else {
-                    hash_join_projected(static_batch, &delta, *join_type, on, proj)
-                }
-            }
+            IncNode::Chain { input, chain } => execute_chain(input.as_deref_mut(), chain, ctx),
             IncNode::StreamJoin { left, right, exec } => {
                 let l = left.execute_epoch(ctx)?;
                 let r = right.execute_epoch(ctx)?;
@@ -490,14 +331,14 @@ impl IncNode {
                 }
                 input.restore_state(store)
             }
-            IncNode::StaticJoin { stream, cache, .. } => {
-                *cache = None;
-                stream.restore_state(store)
+            IncNode::Chain { input, chain } => {
+                chain.reset();
+                match input {
+                    Some(input) => input.restore_state(store),
+                    None => Ok(()),
+                }
             }
-            IncNode::Filter { input, .. }
-            | IncNode::Project { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::MapGroups { input, .. }
+            IncNode::MapGroups { input, .. }
             | IncNode::Distinct { input, .. }
             | IncNode::Sort { input, .. }
             | IncNode::Limit { input, .. } => input.restore_state(store),
@@ -505,7 +346,6 @@ impl IncNode {
                 left.restore_state(store)?;
                 right.restore_state(store)
             }
-            IncNode::StreamScan { .. } => Ok(()),
         }
     }
 
@@ -520,26 +360,27 @@ impl IncNode {
 
     fn collect_scan_projections(&self, out: &mut HashMap<String, Option<Vec<usize>>>) {
         match self {
-            IncNode::StreamScan {
-                name, projection, ..
-            } => match out.get(name) {
-                None => {
-                    out.insert(name.clone(), projection.clone());
+            IncNode::Chain { input, chain } => {
+                if let Some(input) = input {
+                    input.collect_scan_projections(out);
                 }
-                Some(existing) if *existing != *projection => {
-                    out.insert(name.clone(), None);
+                if let Some(scan) = chain.scan() {
+                    match out.get(&scan.name) {
+                        None => {
+                            out.insert(scan.name.clone(), scan.projection.clone());
+                        }
+                        Some(existing) if *existing != scan.projection => {
+                            out.insert(scan.name.clone(), None);
+                        }
+                        Some(_) => {}
+                    }
                 }
-                Some(_) => {}
-            },
+            }
             IncNode::StreamJoin { left, right, .. } => {
                 left.collect_scan_projections(out);
                 right.collect_scan_projections(out);
             }
-            IncNode::Filter { input, .. }
-            | IncNode::Project { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::StaticJoin { stream: input, .. }
-            | IncNode::Aggregate { input, .. }
+            IncNode::Aggregate { input, .. }
             | IncNode::MapGroups { input, .. }
             | IncNode::Distinct { input, .. }
             | IncNode::Sort { input, .. }
@@ -565,16 +406,14 @@ impl IncNode {
                     .is_empty();
                 pending || input.has_pending_timeouts(store, processing_time_us)
             }
-            IncNode::StreamScan { .. } => false,
+            IncNode::Chain { input, .. } => input
+                .as_ref()
+                .is_some_and(|i| i.has_pending_timeouts(store, processing_time_us)),
             IncNode::StreamJoin { left, right, .. } => {
                 left.has_pending_timeouts(store, processing_time_us)
                     || right.has_pending_timeouts(store, processing_time_us)
             }
-            IncNode::Filter { input, .. }
-            | IncNode::Project { input, .. }
-            | IncNode::Watermark { input, .. }
-            | IncNode::StaticJoin { stream: input, .. }
-            | IncNode::Aggregate { input, .. }
+            IncNode::Aggregate { input, .. }
             | IncNode::Distinct { input, .. }
             | IncNode::Sort { input, .. }
             | IncNode::Limit { input, .. } => {
@@ -591,15 +430,11 @@ impl IncNode {
         fn find_agg(node: &IncNode) -> Option<&HashAggregator> {
             match node {
                 IncNode::Aggregate { agg, .. } => Some(agg),
-                IncNode::StreamScan { .. } => None,
+                IncNode::Chain { input, .. } => input.as_deref().and_then(find_agg),
                 IncNode::StreamJoin { left, right, .. } => {
                     find_agg(left).or_else(|| find_agg(right))
                 }
-                IncNode::Filter { input, .. }
-                | IncNode::Project { input, .. }
-                | IncNode::Watermark { input, .. }
-                | IncNode::StaticJoin { stream: input, .. }
-                | IncNode::MapGroups { input, .. }
+                IncNode::MapGroups { input, .. }
                 | IncNode::Distinct { input, .. }
                 | IncNode::Sort { input, .. }
                 | IncNode::Limit { input, .. } => find_agg(input),
@@ -627,23 +462,68 @@ impl IncNode {
     }
 }
 
+/// Run one epoch through a chain: its input operator (or its scan,
+/// recorded as `scan:<name>`), then each op, recording every op with
+/// inclusive timing from the chain's start.
+fn execute_chain(
+    input: Option<&mut IncNode>,
+    chain: &StatelessChain,
+    ctx: &mut EpochContext<'_>,
+) -> Result<RecordBatch> {
+    let started_rel = ctx.ops.now_rel_us();
+    let started = Instant::now();
+    let mut batch = match (input, chain.scan()) {
+        (Some(input), _) => input.execute_epoch(ctx)?,
+        (None, Some(scan)) => {
+            let batch = scan.bind(ctx.inputs)?;
+            let duration = started.elapsed().as_micros() as u64;
+            ctx.ops.record(
+                format!("scan:{}", scan.name),
+                batch.num_rows() as u64,
+                started_rel,
+                duration,
+            );
+            batch
+        }
+        (None, None) => return Err(SsError::Internal("chain without an input".into())),
+    };
+    chain.prime(ctx.statics)?;
+    let mut env = ChainEnv::new(ctx.watermark_us, Some(ctx.faults));
+    for op in chain.ops() {
+        batch = op.apply(batch, &mut env)?;
+        let label = op.label(ctx.ops.stats().len());
+        let duration = started.elapsed().as_micros() as u64;
+        ctx.ops
+            .record(label, batch.num_rows() as u64, started_rel, duration);
+    }
+    for (column, max_seen) in env.maxima {
+        ctx.tracker.observe(&column, max_seen);
+    }
+    Ok(batch)
+}
+
 /// Map an analyzed, optimized logical plan to an incremental operator
 /// tree. `counter` provides stable operator ids (depth-first order, so
 /// the same query shape always gets the same ids across restarts).
 pub fn incrementalize(plan: &LogicalPlan, counter: &mut usize) -> Result<IncNode> {
     // Sources scanned more than once (stream self-joins) must clone
     // their epoch input; unique scans take it by move.
-    let mut scan_counts: HashMap<String, usize> = HashMap::new();
-    for s in plan.streaming_scans() {
-        *scan_counts.entry(s).or_insert(0) += 1;
-    }
-    inc_node(plan, counter, &scan_counts)
+    let mut seen = HashSet::new();
+    let shared: HashSet<String> = plan
+        .streaming_scans()
+        .into_iter()
+        .filter(|s| !seen.insert(s.clone()))
+        .collect();
+    inc_node(plan, counter, &shared, None)
 }
 
+/// `needed`: the columns the parent operator reads, when it is an
+/// aggregate (see [`StatelessChain::compile`]).
 fn inc_node(
     plan: &LogicalPlan,
     counter: &mut usize,
-    scan_counts: &HashMap<String, usize>,
+    shared: &HashSet<String>,
+    needed: Option<&[String]>,
 ) -> Result<IncNode> {
     let next_id = |prefix: &str, counter: &mut usize| {
         let id = format!("{prefix}-{counter}");
@@ -653,78 +533,91 @@ fn inc_node(
     Ok(match plan {
         LogicalPlan::Scan {
             name,
-            schema,
-            streaming,
-            projection,
+            streaming: false,
+            ..
         } => {
-            if !streaming {
-                return Err(SsError::Internal(format!(
-                    "static scan `{name}` reached the incrementalizer outside a join"
-                )));
-            }
-            IncNode::StreamScan {
-                name: name.clone(),
-                schema: schema.clone(),
-                projection: projection.clone(),
-                shared: scan_counts.get(name).copied().unwrap_or(0) > 1,
+            return Err(SsError::Internal(format!(
+                "static scan `{name}` reached the incrementalizer outside a join"
+            )));
+        }
+        LogicalPlan::Join { left, right, .. } if !left.is_streaming() && !right.is_streaming() => {
+            return Err(SsError::Internal(
+                "fully static join reached the incrementalizer".into(),
+            ))
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            on,
+        } if left.is_streaming() && right.is_streaming() => {
+            let watermark_cols: Vec<String> =
+                plan.watermarks().into_iter().map(|(c, _)| c).collect();
+            let l = inc_node(left, counter, shared, None)?;
+            let r = inc_node(right, counter, shared, None)?;
+            let lschema = l.schema();
+            let rschema = r.schema();
+            let time_col_of =
+                |s: &ss_common::Schema| watermark_cols.iter().find_map(|c| s.index_of(c).ok());
+            let exec = StreamJoinExec::new(
+                next_id("join", counter),
+                *join_type,
+                JoinSide {
+                    schema: lschema.clone(),
+                    key_exprs: on.iter().map(|(a, _)| a.clone()).collect(),
+                    time_col: time_col_of(&lschema),
+                },
+                JoinSide {
+                    schema: rschema.clone(),
+                    key_exprs: on.iter().map(|(_, b)| b.clone()).collect(),
+                    time_col: time_col_of(&rschema),
+                },
+            );
+            IncNode::StreamJoin {
+                left: Box::new(l),
+                right: Box::new(r),
+                exec,
             }
         }
-        LogicalPlan::Filter { input, predicate } => IncNode::Filter {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { input, exprs } => {
-            let schema = plan.schema()?;
-            IncNode::Project {
-                input: Box::new(inc_node(input, counter, scan_counts)?),
-                exprs: exprs.clone(),
-                schema,
+        // Streaming scans, filters, projections, watermarks and
+        // stream–static joins: one chain per stateless run.
+        LogicalPlan::Scan { .. }
+        | LogicalPlan::Filter { .. }
+        | LogicalPlan::Project { .. }
+        | LogicalPlan::Watermark { .. }
+        | LogicalPlan::Join { .. } => {
+            let (chain, rest) = StatelessChain::compile(plan, shared, needed)?;
+            let (input, chain) = match rest {
+                Some(rest) => {
+                    let input = inc_node(rest, counter, shared, None)?;
+                    let chain = chain.with_input_schema(input.schema());
+                    (Some(Box::new(input)), chain)
+                }
+                None => (None, chain),
+            };
+            IncNode::Chain {
+                input,
+                chain: Arc::new(chain),
             }
         }
-        LogicalPlan::Watermark {
-            input,
-            column,
-            delay_us,
-        } => IncNode::Watermark {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
-            column: column.clone(),
-            delay_us: *delay_us,
-        },
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             aggregates,
         } => {
-            let mut child = inc_node(input, counter, scan_counts)?;
             // Fuse: when the aggregate sits directly on a stream–static
             // join, the join only materializes the columns the
             // aggregation reads (join keys are hashed, not output).
-            if let IncNode::StaticJoin {
-                output_projection,
-                schema,
-                ..
-            } = &mut child
-            {
-                let mut needed: Vec<String> = Vec::new();
-                for g in group_exprs {
-                    needed.extend(g.referenced_columns());
-                }
-                for a in aggregates {
-                    if let Some(arg) = &a.arg {
-                        needed.extend(arg.referenced_columns());
-                    }
-                }
-                let mut idx: Vec<usize> = needed
-                    .iter()
-                    .filter_map(|n| schema.index_of(n).ok())
-                    .collect();
-                idx.sort_unstable();
-                idx.dedup();
-                if idx.len() < schema.len() && needed.iter().all(|n| schema.contains(n)) {
-                    *schema = Arc::new(schema.project(&idx)?);
-                    *output_projection = Some(idx);
+            let mut needed: Vec<String> = Vec::new();
+            for g in group_exprs {
+                needed.extend(g.referenced_columns());
+            }
+            for a in aggregates {
+                if let Some(arg) = &a.arg {
+                    needed.extend(arg.referenced_columns());
                 }
             }
+            let child = inc_node(input, counter, shared, Some(&needed))?;
             let agg = HashAggregator::new(
                 child.schema(),
                 group_exprs.clone(),
@@ -736,81 +629,13 @@ fn inc_node(
                 agg,
             }
         }
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-        } => {
-            let left_streaming = left.is_streaming();
-            let right_streaming = right.is_streaming();
-            match (left_streaming, right_streaming) {
-                (true, true) => {
-                    let watermark_cols: Vec<String> =
-                        plan.watermarks().into_iter().map(|(c, _)| c).collect();
-                    let l = inc_node(left, counter, scan_counts)?;
-                    let r = inc_node(right, counter, scan_counts)?;
-                    let lschema = l.schema();
-                    let rschema = r.schema();
-                    let time_col_of = |s: &ss_common::Schema| {
-                        watermark_cols
-                            .iter()
-                            .find_map(|c| s.index_of(c).ok())
-                    };
-                    let exec = StreamJoinExec::new(
-                        next_id("join", counter),
-                        *join_type,
-                        JoinSide {
-                            schema: lschema.clone(),
-                            key_exprs: on.iter().map(|(a, _)| a.clone()).collect(),
-                            time_col: time_col_of(&lschema),
-                        },
-                        JoinSide {
-                            schema: rschema.clone(),
-                            key_exprs: on.iter().map(|(_, b)| b.clone()).collect(),
-                            time_col: time_col_of(&rschema),
-                        },
-                    );
-                    IncNode::StreamJoin {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        exec,
-                    }
-                }
-                (true, false) => IncNode::StaticJoin {
-                    stream: Box::new(inc_node(left, counter, scan_counts)?),
-                    static_plan: right.clone(),
-                    cache: None,
-                    stream_is_left: true,
-                    join_type: *join_type,
-                    on: on.clone(),
-                    output_projection: None,
-                    schema: plan.schema()?,
-                },
-                (false, true) => IncNode::StaticJoin {
-                    stream: Box::new(inc_node(right, counter, scan_counts)?),
-                    static_plan: left.clone(),
-                    cache: None,
-                    stream_is_left: false,
-                    join_type: *join_type,
-                    on: on.clone(),
-                    output_projection: None,
-                    schema: plan.schema()?,
-                },
-                (false, false) => {
-                    return Err(SsError::Internal(
-                        "fully static join reached the incrementalizer".into(),
-                    ))
-                }
-            }
-        }
         LogicalPlan::MapGroupsWithState { input, op } => IncNode::MapGroups {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
+            input: Box::new(inc_node(input, counter, shared, None)?),
             op_id: next_id("mgws", counter),
             op: op.clone(),
         },
         LogicalPlan::Distinct { input } => {
-            let child = inc_node(input, counter, scan_counts)?;
+            let child = inc_node(input, counter, shared, None)?;
             let schema = child.schema();
             IncNode::Distinct {
                 input: Box::new(child),
@@ -819,11 +644,11 @@ fn inc_node(
             }
         }
         LogicalPlan::Sort { input, keys } => IncNode::Sort {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
+            input: Box::new(inc_node(input, counter, shared, None)?),
             keys: keys.clone(),
         },
         LogicalPlan::Limit { input, n } => IncNode::Limit {
-            input: Box::new(inc_node(input, counter, scan_counts)?),
+            input: Box::new(inc_node(input, counter, shared, None)?),
             n: *n,
         },
     })
@@ -836,7 +661,7 @@ mod tests {
     use ss_common::{row, DataType, Field, Schema, Value};
     use ss_exec::MemoryCatalog;
     use ss_expr::{col, count_star, lit, window};
-    use ss_plan::LogicalPlanBuilder;
+    use ss_plan::{JoinType, LogicalPlanBuilder};
     use ss_state::MemoryBackend;
 
     fn events_schema() -> SchemaRef {

@@ -11,6 +11,7 @@
 //! |---|---|
 //! | [`context`] / [`dataframe`] | §4 programming model: `readStream` → DataFrame ops → `writeStream` |
 //! | [`incremental`] | §5.2 incrementalization: logical plan → stateful operator DAG |
+//! | [`chain`] | §5.2/§6.3 stateless ("map-like") operator chains, shared by every execution path |
 //! | [`watermark`] | §4.3.1 event-time watermarks |
 //! | [`stateful`] | §4.3.2 `mapGroupsWithState` / `flatMapGroupsWithState` execution |
 //! | [`sjoin`] | §5.2 stream–stream joins with buffered, watermark-evicted state |
@@ -51,6 +52,7 @@
 //! ```
 
 pub mod admission;
+pub mod chain;
 pub mod context;
 pub mod continuous;
 pub mod dataframe;

@@ -6,9 +6,9 @@
 //! compiled into two stages:
 //!
 //! 1. **Map stage** — the epoch's input batch is split into row chunks
-//!    and each chunk runs the stateless operator chain (scan
-//!    projection, filter, project, watermark, stream–static join) on a
-//!    worker. For stateful plans the map task also evaluates the
+//!    and each chunk runs the plan's [`StatelessChain`] (shared with
+//!    the serial operator tree through an `Arc`) on a worker. For
+//!    stateful plans the map task also evaluates the
 //!    shuffle keys: aggregate chunks expand into `(group key, argument
 //!    values)` pairs, join chunks into keyed delta rows.
 //! 2. **Shuffle + reduce stage** — rows are hash-bucketed by key
@@ -35,9 +35,10 @@
 //! * the worker pool itself returns results in task-index order and
 //!   resolves failures lowest-index-first.
 //!
-//! Plans the compiler cannot prove chunk-safe (shared scans, stateful
-//! UDFs, dedup, right-outer static joins, …) return `None` from
-//! [`ParallelExec::try_build`] and fall back to the serial path.
+//! Plans whose chains are not `StatelessChain::is_chunk_safe`, or
+//! that carry stateful UDFs, dedup or nested stateful operators, return
+//! `None` from [`ParallelExec::try_build`] and fall back to the serial
+//! path.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
@@ -52,54 +53,18 @@ use ss_common::profile::{
 };
 use ss_common::{
     shuffle_partition, FaultRegistry, MetricsRegistry, RecordBatch, Result, RetryPolicy, Row,
-    SchemaRef, SsError, TraceLog, Value,
+    SsError, TraceLog, Value,
 };
 use ss_exec::aggregate::{HashAggregator, KeyExpander};
-use ss_exec::executor::Catalog;
-use ss_exec::join::hash_join_projected;
 use ss_exec::ops;
-use ss_expr::Expr;
-use ss_plan::{JoinType, LogicalPlan, OutputMode, SortKey};
+use ss_plan::{OutputMode, SortKey};
 use ss_sched::{failpoints, ScatterStats, WorkerPool};
 use ss_state::{OpState, StateEntry, StateStore};
 
+use crate::chain::{ChainEnv, StatelessChain};
 use crate::incremental::{EpochContext, IncNode};
 use crate::microbatch::retried;
 use crate::sjoin::{KeyedDeltaRow, StreamJoinExec, TaggedRow};
-
-/// One stateless operator in a map task's chain, applied per chunk.
-/// Every variant is row-wise (chunking the input and concatenating the
-/// outputs is byte-identical to one whole-batch application).
-#[derive(Clone)]
-enum MapOp {
-    Filter(Expr),
-    Project(Vec<Expr>),
-    /// `Project(Filter(x))` fused, mirroring the serial engine's fusion
-    /// (filtered-out columns the projection drops are never built).
-    FilterProject { predicate: Expr, exprs: Vec<Expr> },
-    /// Observe per-chunk event-time maxima (merged by the engine) and
-    /// drop rows later than the in-force watermark.
-    Watermark { column: String },
-    /// Stream–static join. Only chunk-safe shapes compile: the stream
-    /// must be the probe (left) side and the static side must not emit
-    /// unmatched rows (no right-outer), since those pad once per batch.
-    StaticJoin {
-        static_plan: Arc<LogicalPlan>,
-        /// Computed once per run on the engine thread, shared by tasks.
-        cache: Option<Arc<RecordBatch>>,
-        join_type: JoinType,
-        on: Vec<(Expr, Expr)>,
-        output_projection: Option<Vec<usize>>,
-    },
-}
-
-/// The epoch's input binding for one map stage.
-#[derive(Clone)]
-struct ScanSpec {
-    name: String,
-    schema: SchemaRef,
-    projection: Option<Vec<usize>>,
-}
 
 /// A post-aggregate serial suffix (Complete-mode `Sort`/`Limit`),
 /// applied to the merged output on the engine thread.
@@ -112,18 +77,14 @@ enum SuffixOp {
 /// A plan compiled for partitioned execution.
 enum ParallelPlan {
     /// Stateless: map chunks, concatenate in chunk order.
-    Map {
-        scan: ScanSpec,
-        chain: Vec<MapOp>,
-    },
+    Map { chain: Arc<StatelessChain> },
     /// Map → shuffle by group key → per-partition stateful aggregation.
     Aggregate {
-        scan: ScanSpec,
-        chain: Vec<MapOp>,
+        chain: Arc<StatelessChain>,
         op_id: String,
         expander: KeyExpander,
         /// Empty blueprint for rebuilding shards on restore.
-        template: HashAggregator,
+        template: Box<HashAggregator>,
         /// One aggregator per reduce partition, holding only the keys
         /// that hash there.
         shards: Vec<HashAggregator>,
@@ -132,10 +93,8 @@ enum ParallelPlan {
     /// Two map sides → shuffle by join key → per-partition symmetric
     /// join against sharded buffers.
     Join {
-        left_scan: ScanSpec,
-        left_chain: Vec<MapOp>,
-        right_scan: ScanSpec,
-        right_chain: Vec<MapOp>,
+        left_chain: Arc<StatelessChain>,
+        right_chain: Arc<StatelessChain>,
         exec: StreamJoinExec,
     },
 }
@@ -249,10 +208,8 @@ impl ParallelExec {
             registry: self.registry.clone(),
         };
         let (out, label) = match &mut self.plan {
-            ParallelPlan::Map { scan, chain } => {
-                prime_static_caches(chain, ctx.statics)?;
-                let input = take_scan(scan, ctx)?;
-                record_scan(ctx, scan, input.num_rows());
+            ParallelPlan::Map { chain } => {
+                let input = bind_input(chain, ctx)?;
                 let chunks = split_chunks(input, partitions);
                 let t_map = Instant::now();
                 let results =
@@ -271,7 +228,6 @@ impl ParallelExec {
                 (out, "parallel-map".to_string())
             }
             ParallelPlan::Aggregate {
-                scan,
                 chain,
                 op_id,
                 expander,
@@ -279,9 +235,7 @@ impl ParallelExec {
                 shards,
                 suffix,
             } => {
-                prime_static_caches(chain, ctx.statics)?;
-                let input = take_scan(scan, ctx)?;
-                record_scan(ctx, scan, input.num_rows());
+                let input = bind_input(chain, ctx)?;
                 let chunks = split_chunks(input, partitions);
                 let parts = partitions;
 
@@ -303,8 +257,7 @@ impl ParallelExec {
                             faults.fire(failpoints::TASK_RUN)
                         })?;
                         faults.fire(failpoints::TASK_HANG)?;
-                        let mut maxima = Vec::new();
-                        let out = run_chain(&chain, chunk, wm, &mut maxima, &faults)?;
+                        let (out, maxima) = apply_chunk(&chain, chunk, wm, &faults)?;
                         let pairs = expander.expand(&out)?;
                         retried(&retry, &clock, &interrupt, &registry, "sched_shuffle_write", || {
                             faults.fire(failpoints::SHUFFLE_WRITE)
@@ -413,18 +366,12 @@ impl ParallelExec {
                 (batch, op_id.clone())
             }
             ParallelPlan::Join {
-                left_scan,
                 left_chain,
-                right_scan,
                 right_chain,
                 exec,
             } => {
-                prime_static_caches(left_chain, ctx.statics)?;
-                prime_static_caches(right_chain, ctx.statics)?;
-                let left_in = take_scan(left_scan, ctx)?;
-                let right_in = take_scan(right_scan, ctx)?;
-                record_scan(ctx, left_scan, left_in.num_rows());
-                record_scan(ctx, right_scan, right_in.num_rows());
+                let left_in = bind_input(left_chain, ctx)?;
+                let right_in = bind_input(right_chain, ctx)?;
                 let parts = partitions;
                 let left_chunks = split_chunks(left_in, parts);
                 let n_left = left_chunks.len();
@@ -454,8 +401,7 @@ impl ParallelExec {
                             faults.fire(failpoints::TASK_RUN)
                         })?;
                         faults.fire(failpoints::TASK_HANG)?;
-                        let mut maxima = Vec::new();
-                        let out = run_chain(&chain, chunk, wm, &mut maxima, &faults)?;
+                        let (out, maxima) = apply_chunk(&chain, chunk, wm, &faults)?;
                         let keyed = exec.prepare_side(&out, is_left, 0)?;
                         retried(&retry, &clock, &interrupt, &registry, "sched_shuffle_write", || {
                             faults.fire(failpoints::SHUFFLE_WRITE)
@@ -590,14 +536,14 @@ impl ParallelExec {
     pub fn restore_state(&mut self, store: &mut StateStore) -> Result<()> {
         let parts = self.partitions;
         match &mut self.plan {
-            ParallelPlan::Map { chain, .. } => reset_static_caches(chain),
+            ParallelPlan::Map { chain } => chain.reset(),
             ParallelPlan::Join {
                 left_chain,
                 right_chain,
                 ..
             } => {
-                reset_static_caches(left_chain);
-                reset_static_caches(right_chain);
+                left_chain.reset();
+                right_chain.reset();
             }
             ParallelPlan::Aggregate {
                 chain,
@@ -606,7 +552,7 @@ impl ParallelExec {
                 shards,
                 ..
             } => {
-                reset_static_caches(chain);
+                chain.reset();
                 *shards = (0..parts).map(|_| template.fresh_clone()).collect();
                 for (r, shard) in shards.iter_mut().enumerate() {
                     let ns = shard_ns(op_id, r, parts, "");
@@ -657,13 +603,13 @@ fn scatter_map(
     pool: &WorkerPool,
     env: &TaskEnv,
     chunks: Vec<RecordBatch>,
-    chain: &[MapOp],
+    chain: &Arc<StatelessChain>,
     watermark_us: i64,
     stats: &mut ScatterStats,
 ) -> Result<Vec<ChainOut>> {
     let mut tasks: Vec<MapTask<ChainOut>> = Vec::with_capacity(chunks.len());
     for chunk in chunks {
-        let chain = chain.to_vec();
+        let chain = chain.clone();
         let TaskEnv {
             faults,
             retry,
@@ -676,9 +622,7 @@ fn scatter_map(
                 faults.fire(failpoints::TASK_RUN)
             })?;
             faults.fire(failpoints::TASK_HANG)?;
-            let mut maxima = Vec::new();
-            let out = run_chain(&chain, chunk, watermark_us, &mut maxima, &faults)?;
-            Ok((out, maxima))
+            apply_chunk(&chain, chunk, watermark_us, &faults)
         }));
     }
     let out = pool.scatter("map", tasks)?;
@@ -755,128 +699,32 @@ fn reduce_aggregate(
     Ok((shard, op, rows))
 }
 
-/// Apply a map chain to one chunk. Mirrors the serial
-/// `IncNode::execute_op` arms for the same operators, row for row.
-fn run_chain(
-    chain: &[MapOp],
-    mut batch: RecordBatch,
+/// Apply a map stage's chain to one chunk, returning the output and
+/// the chunk's watermark observations.
+fn apply_chunk(
+    chain: &StatelessChain,
+    chunk: RecordBatch,
     watermark_us: i64,
-    maxima: &mut Vec<(String, i64)>,
     faults: &FaultRegistry,
-) -> Result<RecordBatch> {
-    for op in chain {
-        batch = match op {
-            MapOp::Filter(predicate) => {
-                if batch.num_rows() > 0 {
-                    faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::filter_batch(&batch, predicate)?
-            }
-            MapOp::Project(exprs) => {
-                if batch.num_rows() > 0 {
-                    faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::project_batch(&batch, exprs)?
-            }
-            MapOp::FilterProject { predicate, exprs } => {
-                if batch.num_rows() > 0 {
-                    faults.fire(ops::failpoints::RECORD_EVAL)?;
-                }
-                ops::filter_project_batch(&batch, predicate, exprs)?
-            }
-            MapOp::Watermark { column } => {
-                let col = batch.column_by_name(column)?;
-                let tc = col.as_i64()?;
-                let mut max_seen = i64::MIN;
-                for i in 0..tc.len() {
-                    if let Some(&v) = tc.get(i) {
-                        max_seen = max_seen.max(v);
-                    }
-                }
-                if max_seen > i64::MIN {
-                    maxima.push((column.clone(), max_seen));
-                }
-                if watermark_us > i64::MIN {
-                    let mask: Vec<bool> = (0..tc.len())
-                        .map(|i| tc.get(i).is_none_or(|&v| v >= watermark_us))
-                        .collect();
-                    batch.filter(&mask)?
-                } else {
-                    batch
-                }
-            }
-            MapOp::StaticJoin {
-                cache,
-                join_type,
-                on,
-                output_projection,
-                ..
-            } => {
-                let static_batch = cache.as_ref().ok_or_else(|| {
-                    SsError::Internal("static join cache not primed".into())
-                })?;
-                hash_join_projected(
-                    &batch,
-                    static_batch,
-                    *join_type,
-                    on,
-                    output_projection.as_deref(),
-                )?
-            }
-        };
-    }
-    Ok(batch)
+) -> Result<ChainOut> {
+    let mut env = ChainEnv::new(watermark_us, Some(faults));
+    let out = chain.apply(chunk, &mut env)?;
+    Ok((out, env.maxima))
 }
 
-/// Fill every static-join cache in `chain` (once per run, engine
-/// thread — the batch engine result is then shared by all map tasks).
-fn prime_static_caches(chain: &mut [MapOp], statics: &dyn Catalog) -> Result<()> {
-    for op in chain.iter_mut() {
-        if let MapOp::StaticJoin {
-            static_plan, cache, ..
-        } = op
-        {
-            if cache.is_none() {
-                *cache = Some(Arc::new(ss_exec::execute(static_plan, statics)?));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn reset_static_caches(chain: &mut [MapOp]) {
-    for op in chain.iter_mut() {
-        if let MapOp::StaticJoin { cache, .. } = op {
-            *cache = None;
-        }
-    }
-}
-
-/// Take one scan's epoch input, mirroring the serial `StreamScan` arm
-/// (pre-projected batches pass through; others get the projection).
-fn take_scan(scan: &ScanSpec, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
-    let projected_schema = match &scan.projection {
-        Some(idx) => Arc::new(scan.schema.project(idx)?),
-        None => scan.schema.clone(),
-    };
-    let batch = match ctx.inputs.remove(&scan.name) {
-        Some(b) => b,
-        None => return Ok(RecordBatch::empty(projected_schema)),
-    };
-    if batch.schema().fields() == projected_schema.fields() {
-        Ok(batch)
-    } else {
-        match &scan.projection {
-            Some(idx) => batch.project(idx),
-            None => Ok(batch),
-        }
-    }
-}
-
-fn record_scan(ctx: &mut EpochContext<'_>, scan: &ScanSpec, rows: usize) {
+/// Bind a map stage's epoch input through its chain's scan (recorded as
+/// `scan:<name>`, as serial execution records it), priming the chain's
+/// static-join caches on the engine thread first.
+fn bind_input(chain: &StatelessChain, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
+    let scan = chain
+        .scan()
+        .ok_or_else(|| SsError::Internal("map stage without a scan".into()))?;
+    chain.prime(ctx.statics)?;
+    let input = scan.bind(ctx.inputs)?;
     let rel = ctx.ops.now_rel_us();
     ctx.ops
-        .record(format!("scan:{}", scan.name), rows as u64, rel, 0);
+        .record(format!("scan:{}", scan.name), input.num_rows() as u64, rel, 0);
+    Ok(input)
 }
 
 /// Merge per-chunk watermark observations (max per column) and fold
@@ -928,125 +776,37 @@ fn compile(root: &IncNode) -> Option<ParallelPlan> {
         }
     }
     match node {
-        IncNode::Aggregate { input, op_id, agg } => {
-            let mut chain = Vec::new();
-            let scan = build_chain(input, &mut chain)?;
-            Some(ParallelPlan::Aggregate {
-                scan,
-                chain,
-                op_id: op_id.clone(),
-                expander: agg.key_expander(),
-                template: agg.fresh_clone(),
-                shards: Vec::new(),
-                suffix,
-            })
-        }
-        IncNode::StreamJoin { left, right, exec } => {
-            if !suffix.is_empty() {
-                return None;
-            }
-            let mut left_chain = Vec::new();
-            let left_scan = build_chain(left, &mut left_chain)?;
-            let mut right_chain = Vec::new();
-            let right_scan = build_chain(right, &mut right_chain)?;
+        IncNode::Aggregate { input, op_id, agg } => Some(ParallelPlan::Aggregate {
+            chain: map_chain(input)?,
+            op_id: op_id.clone(),
+            expander: agg.key_expander(),
+            template: Box::new(agg.fresh_clone()),
+            shards: Vec::new(),
+            suffix,
+        }),
+        IncNode::StreamJoin { left, right, exec } if suffix.is_empty() => {
             Some(ParallelPlan::Join {
-                left_scan,
-                left_chain,
-                right_scan,
-                right_chain,
+                left_chain: map_chain(left)?,
+                right_chain: map_chain(right)?,
                 exec: exec.clone(),
             })
         }
-        _ => {
-            if !suffix.is_empty() {
-                return None;
-            }
-            let mut chain = Vec::new();
-            let scan = build_chain(node, &mut chain)?;
-            Some(ParallelPlan::Map { scan, chain })
-        }
+        _ if suffix.is_empty() => Some(ParallelPlan::Map {
+            chain: map_chain(node)?,
+        }),
+        _ => None,
     }
 }
 
-/// Walk a stateless operator chain down to its scan, collecting map
-/// ops in execution order. `None` for unsupported shapes.
-fn build_chain(node: &IncNode, chain: &mut Vec<MapOp>) -> Option<ScanSpec> {
+/// The chain a map stage runs for `node`: `Some` only for a chain that
+/// reads its scan directly and is chunk-safe. Stateful or
+/// order-sensitive nodes in a map position (MapGroups: the UDF sees
+/// arrival order per group across the whole epoch; Distinct:
+/// first-wins races; nested aggregates/joins; Sort/Limit below a
+/// stateful op) are `None`.
+fn map_chain(node: &IncNode) -> Option<Arc<StatelessChain>> {
     match node {
-        IncNode::StreamScan {
-            name,
-            schema,
-            projection,
-            shared,
-        } => {
-            if *shared {
-                // A shared scan's input is consumed by several plan
-                // branches; chunk ownership would be ambiguous.
-                return None;
-            }
-            Some(ScanSpec {
-                name: name.clone(),
-                schema: schema.clone(),
-                projection: projection.clone(),
-            })
-        }
-        IncNode::Filter { input, predicate } => {
-            let scan = build_chain(input, chain)?;
-            chain.push(MapOp::Filter(predicate.clone()));
-            Some(scan)
-        }
-        IncNode::Project { input, exprs, .. } => {
-            if let IncNode::Filter {
-                input: filter_input,
-                predicate,
-            } = input.as_ref()
-            {
-                let scan = build_chain(filter_input, chain)?;
-                chain.push(MapOp::FilterProject {
-                    predicate: predicate.clone(),
-                    exprs: exprs.clone(),
-                });
-                return Some(scan);
-            }
-            let scan = build_chain(input, chain)?;
-            chain.push(MapOp::Project(exprs.clone()));
-            Some(scan)
-        }
-        IncNode::Watermark { input, column, .. } => {
-            let scan = build_chain(input, chain)?;
-            chain.push(MapOp::Watermark {
-                column: column.clone(),
-            });
-            Some(scan)
-        }
-        IncNode::StaticJoin {
-            stream,
-            static_plan,
-            stream_is_left,
-            join_type,
-            on,
-            output_projection,
-            ..
-        } => {
-            // Chunk-safe only when the stream probes (output follows
-            // probe-row order) and the static side never pads
-            // unmatched rows (right-outer pads once per *batch*).
-            if !*stream_is_left || *join_type == JoinType::RightOuter {
-                return None;
-            }
-            let scan = build_chain(stream, chain)?;
-            chain.push(MapOp::StaticJoin {
-                static_plan: static_plan.clone(),
-                cache: None,
-                join_type: *join_type,
-                on: on.clone(),
-                output_projection: output_projection.clone(),
-            });
-            Some(scan)
-        }
-        // Stateful / order-sensitive nodes inside a map chain (or at
-        // the root): MapGroups (UDF sees arrival order per group across
-        // the whole epoch), Distinct (first-wins races), nested
-        // aggregates/joins, Sort/Limit below a stateful op.
+        IncNode::Chain { input: None, chain } if chain.is_chunk_safe() => Some(chain.clone()),
         _ => None,
     }
 }
@@ -1072,12 +832,12 @@ fn collect_families(node: &IncNode, out: &mut Vec<(String, &'static str)>) {
             collect_families(left, out);
             collect_families(right, out);
         }
-        IncNode::StreamScan { .. } => {}
-        IncNode::Filter { input, .. }
-        | IncNode::Project { input, .. }
-        | IncNode::Watermark { input, .. }
-        | IncNode::StaticJoin { stream: input, .. }
-        | IncNode::MapGroups { input, .. }
+        IncNode::Chain { input, .. } => {
+            if let Some(input) = input {
+                collect_families(input, out);
+            }
+        }
+        IncNode::MapGroups { input, .. }
         | IncNode::Distinct { input, .. }
         | IncNode::Sort { input, .. }
         | IncNode::Limit { input, .. } => collect_families(input, out),

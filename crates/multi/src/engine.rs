@@ -219,7 +219,9 @@ impl MultiQueryEngine {
         let mut groups = self.groups.lock();
         Self::check_name_free(&groups, &spec.name)?;
         if let Some(group) = groups.get(&group_key) {
-            group.fanout.attach(&spec.name, split.suffix.clone(), spec.sink);
+            group
+                .fanout
+                .attach(&spec.name, &split.suffix, split.prefix.schema()?, spec.sink)?;
             group.members.lock().push(Member {
                 name: spec.name,
                 tenant: spec.tenant.clone(),
@@ -251,7 +253,7 @@ impl MultiQueryEngine {
             statics.register(name, batches);
         }
         let fanout = FanoutSink::new(format!("{label}-fanout"));
-        fanout.attach(&spec.name, split.suffix.clone(), spec.sink);
+        fanout.attach(&spec.name, &split.suffix, split.prefix.schema()?, spec.sink)?;
         let backend = Arc::new(MemoryBackend::new());
         let engine = MicroBatchExecution::new(
             label.clone(),

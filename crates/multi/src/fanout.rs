@@ -3,9 +3,10 @@
 //! A sharing group runs ONE [`ss_core::MicroBatchExecution`] whose sink
 //! is a [`FanoutSink`]. Each subscribed query owns a **tap**: its real
 //! sink plus the stateless suffix ([`ss_plan::SuffixOp`]) its plan
-//! carries above the shared stateful prefix. Every epoch the engine
-//! commits once into the fan-out, which applies each tap's suffix to
-//! the shared output and commits the result to that query's sink —
+//! carries above the shared stateful prefix, compiled once at attach
+//! into the same [`StatelessChain`] the engine runs. Every epoch the
+//! engine commits once into the fan-out, which applies each tap's chain
+//! to the shared output and commits the result to that query's sink —
 //! so N queries cost one incremental update plus N cheap, stateless
 //! post-processing passes.
 //!
@@ -21,17 +22,18 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ss_bus::{EpochOutput, Sink};
-use ss_common::{RecordBatch, Result, SsError};
-use ss_exec::MemoryCatalog;
+use ss_common::{RecordBatch, Result, SchemaRef, SsError};
+use ss_core::chain::{ChainEnv, StatelessChain};
 use ss_plan::{LogicalPlan, SuffixOp};
 
-/// The table name a tap's suffix plan scans — bound per epoch to the
-/// shared prefix output.
+/// The source name a tap's suffix plan scans: the shared prefix output.
 const SHARED_SCAN: &str = "__shared_prefix";
 
 struct Tap {
     query: String,
-    suffix: Vec<SuffixOp>,
+    /// The compiled suffix; `None` for a tap that takes the shared
+    /// output as is.
+    suffix: Option<StatelessChain>,
     sink: Arc<dyn Sink>,
 }
 
@@ -56,15 +58,27 @@ impl FanoutSink {
         })
     }
 
-    /// Attach a query's tap. `suffix` must be empty unless the group
-    /// runs in append or complete mode (checked by the engine, not
-    /// here).
-    pub fn attach(&self, query: impl Into<String>, suffix: Vec<SuffixOp>, sink: Arc<dyn Sink>) {
+    /// Attach a query's tap, compiling its suffix against `schema`,
+    /// the group's output schema. `suffix` must be empty unless the
+    /// group runs in append or complete mode (checked by the engine,
+    /// not here).
+    pub fn attach(
+        &self,
+        query: impl Into<String>,
+        suffix: &[SuffixOp],
+        schema: SchemaRef,
+        sink: Arc<dyn Sink>,
+    ) -> Result<()> {
+        let suffix = match suffix {
+            [] => None,
+            ops => Some(compile_suffix(ops, schema)?),
+        };
         self.taps.lock().push(Tap {
             query: query.into(),
             suffix,
             sink,
         });
+        Ok(())
     }
 
     /// Detach a query's tap; returns false if it was not attached.
@@ -88,16 +102,19 @@ impl FanoutSink {
     }
 }
 
-/// Apply a stateless suffix to one epoch's shared output by running it
-/// as a tiny batch plan over the batch.
-pub(crate) fn apply_suffix(batch: &RecordBatch, suffix: &[SuffixOp]) -> Result<RecordBatch> {
-    if suffix.is_empty() {
-        return Ok(batch.clone());
-    }
+/// Compile a stateless suffix over a scan of the shared output.
+fn compile_suffix(suffix: &[SuffixOp], schema: SchemaRef) -> Result<StatelessChain> {
+    let analyzed = ss_plan::analyze(&suffix_plan(suffix, schema))?;
+    let (chain, _) = StatelessChain::compile(&analyzed, &Default::default(), None)?;
+    Ok(chain)
+}
+
+/// A suffix as a plan over a scan of the shared output.
+fn suffix_plan(suffix: &[SuffixOp], schema: SchemaRef) -> Arc<LogicalPlan> {
     let mut plan = Arc::new(LogicalPlan::Scan {
         name: SHARED_SCAN.into(),
-        schema: batch.schema().clone(),
-        streaming: false,
+        schema,
+        streaming: true,
         projection: None,
     });
     for op in suffix {
@@ -112,10 +129,7 @@ pub(crate) fn apply_suffix(batch: &RecordBatch, suffix: &[SuffixOp]) -> Result<R
             },
         });
     }
-    let analyzed = ss_plan::analyze(&plan)?;
-    let mut catalog = MemoryCatalog::new();
-    catalog.register(SHARED_SCAN, vec![batch.clone()]);
-    ss_exec::execute(&analyzed, &catalog)
+    plan
 }
 
 impl Sink for FanoutSink {
@@ -126,24 +140,23 @@ impl Sink for FanoutSink {
     fn commit_epoch(&self, epoch: u64, output: &EpochOutput) -> Result<()> {
         let taps = self.taps.lock();
         for tap in taps.iter() {
-            if tap.suffix.is_empty() {
+            let Some(suffix) = &tap.suffix else {
                 tap.sink.commit_epoch(epoch, output)?;
                 self.fanned_rows
                     .fetch_add(output.num_rows() as u64, Ordering::Relaxed);
                 continue;
-            }
+            };
+            let apply = |batch: &RecordBatch| {
+                suffix.apply(batch.clone(), &mut ChainEnv::new(i64::MIN, None))
+            };
             // A suffix rewrites the row set, which is sound for append
             // output (each epoch's new rows) and complete output (the
             // whole result table) — but not update output, whose
             // upsert keys are positional in the pre-suffix schema (the
             // engine refuses such taps up front).
             let tapped = match output {
-                EpochOutput::Append(batch) => {
-                    EpochOutput::Append(apply_suffix(batch, &tap.suffix)?)
-                }
-                EpochOutput::Complete(batch) => {
-                    EpochOutput::Complete(apply_suffix(batch, &tap.suffix)?)
-                }
+                EpochOutput::Append(batch) => EpochOutput::Append(apply(batch)?),
+                EpochOutput::Complete(batch) => EpochOutput::Complete(apply(batch)?),
                 EpochOutput::Update { .. } => {
                     return Err(SsError::Execution(format!(
                         "tap `{}` carries a stateless suffix but the group \
@@ -176,15 +189,18 @@ impl Sink for FanoutSink {
 mod tests {
     use super::*;
     use ss_bus::MemorySink;
-    use ss_common::{row, DataType, Field, Row, Schema};
+    use ss_common::{row, DataType, Field, Row, Schema, SchemaRef};
     use ss_expr::{col, lit};
 
-    fn batch(rows: &[Row]) -> RecordBatch {
-        let schema = Schema::of(vec![
+    fn schema() -> SchemaRef {
+        Schema::of(vec![
             Field::new("country", DataType::Utf8),
             Field::new("cnt", DataType::Int64),
-        ]);
-        RecordBatch::from_rows(schema, rows).unwrap()
+        ])
+    }
+
+    fn batch(rows: &[Row]) -> RecordBatch {
+        RecordBatch::from_rows(schema(), rows).unwrap()
     }
 
     #[test]
@@ -192,12 +208,14 @@ mod tests {
         let fan = FanoutSink::new("fan");
         let all = MemorySink::new("all");
         let ca = MemorySink::new("ca");
-        fan.attach("q-all", vec![], all.clone());
+        fan.attach("q-all", &[], schema(), all.clone()).unwrap();
         fan.attach(
             "q-ca",
-            vec![SuffixOp::Filter(col("country").eq(lit("CA")))],
+            &[SuffixOp::Filter(col("country").eq(lit("CA")))],
+            schema(),
             ca.clone(),
-        );
+        )
+        .unwrap();
         let out = EpochOutput::Append(batch(&[row!["CA", 3i64], row!["US", 5i64]]));
         fan.commit_epoch(1, &out).unwrap();
         assert_eq!(all.snapshot().len(), 2);
@@ -211,8 +229,8 @@ mod tests {
         let fan = FanoutSink::new("fan");
         let a = MemorySink::new("a");
         let b = MemorySink::new("b");
-        fan.attach("qa", vec![], a.clone());
-        fan.attach("qb", vec![], b.clone());
+        fan.attach("qa", &[], schema(), a.clone()).unwrap();
+        fan.attach("qb", &[], schema(), b.clone()).unwrap();
         assert!(fan.detach("qa"));
         assert!(!fan.detach("qa"));
         fan.commit_epoch(1, &EpochOutput::Append(batch(&[row!["CA", 1i64]])))
@@ -228,9 +246,11 @@ mod tests {
         let sink = MemorySink::new("s");
         fan.attach(
             "q",
-            vec![SuffixOp::Filter(col("country").eq(lit("CA")))],
+            &[SuffixOp::Filter(col("country").eq(lit("CA")))],
+            schema(),
             sink.clone(),
-        );
+        )
+        .unwrap();
         let upd = EpochOutput::Update {
             batch: batch(&[row!["CA", 1i64]]),
             key_cols: vec![0],
@@ -244,9 +264,95 @@ mod tests {
     #[test]
     fn suffix_project_reshapes_rows() {
         let b = batch(&[row!["CA", 3i64], row!["US", 5i64]]);
-        let projected =
-            apply_suffix(&b, &[SuffixOp::Project(vec![col("cnt")])]).unwrap();
+        let chain = compile_suffix(&[SuffixOp::Project(vec![col("cnt")])], schema()).unwrap();
+        let projected = chain.apply(b, &mut ChainEnv::new(i64::MIN, None)).unwrap();
         assert_eq!(projected.num_columns(), 1);
         assert_eq!(projected.num_rows(), 2);
+    }
+
+    /// The batch executor is the reference semantics for a suffix: a
+    /// compiled chain (which fuses filter→project) must produce exactly
+    /// what `ss_exec::execute` produces for the equivalent plan.
+    #[test]
+    fn compiled_suffixes_match_the_batch_executor_byte_for_byte() {
+        use ss_common::Value;
+        use ss_exec::MemoryCatalog;
+
+        let schema = Schema::of(vec![
+            Field::new("country", DataType::Utf8),
+            Field::new("cnt", DataType::Int64),
+            Field::new("ratio", DataType::Float64),
+            Field::new("flag", DataType::Boolean),
+            Field::new("at", DataType::Timestamp),
+        ]);
+        let rows: Vec<Row> = (0..12i64)
+            .map(|i| {
+                let null_or = |v: Value| if i % 4 == 3 { Value::Null } else { v };
+                Row::new(vec![
+                    null_or(Value::str(["CA", "US", "DE"][(i % 3) as usize])),
+                    if i % 5 == 4 {
+                        Value::Null
+                    } else {
+                        Value::Int64(i * 7 - 20)
+                    },
+                    null_or(Value::Float64(i as f64 / 3.0)),
+                    if i % 6 == 5 {
+                        Value::Null
+                    } else {
+                        Value::Boolean(i % 2 == 0)
+                    },
+                    Value::Timestamp(i * 1_000_000),
+                ])
+            })
+            .collect();
+        let input = RecordBatch::from_rows(schema.clone(), &rows).unwrap();
+        let filter = SuffixOp::Filter(col("cnt").gt(lit(0i64)).or(col("flag")));
+        // Drops `at` and adds a computed column; keeps what the filter
+        // reads, so the filter can run on either side of it.
+        let project = SuffixOp::Project(vec![
+            col("country"),
+            col("cnt"),
+            col("cnt").mul(lit(2i64)).alias("cnt2"),
+            col("ratio"),
+            col("flag"),
+        ]);
+        let suffixes: Vec<(&str, Vec<SuffixOp>)> = vec![
+            ("filter", vec![filter.clone()]),
+            ("project", vec![project.clone()]),
+            ("filter->project", vec![filter.clone(), project.clone()]),
+            ("project->filter", vec![project, filter]),
+        ];
+        for (name, suffix) in suffixes {
+            let chain = compile_suffix(&suffix, schema.clone()).unwrap();
+            let got = chain
+                .apply(input.clone(), &mut ChainEnv::new(i64::MIN, None))
+                .unwrap();
+
+            let mut catalog = MemoryCatalog::new();
+            catalog.register(SHARED_SCAN, vec![input.clone()]);
+            let plan = ss_plan::analyze(&suffix_plan(&suffix, schema.clone())).unwrap();
+            let expected = ss_exec::execute(&plan, &catalog).unwrap();
+
+            assert!(expected.num_rows() > 0, "{name}: reference kept no rows");
+            assert_eq!(got, expected, "{name}: chain output differs");
+            assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                serde_json::to_string(&expected).unwrap(),
+                "{name}: chain output bytes differ"
+            );
+        }
+    }
+
+    #[test]
+    fn an_ill_typed_suffix_is_refused_at_attach() {
+        let fan = FanoutSink::new("fan");
+        let err = fan.attach(
+            "q",
+            &[SuffixOp::Filter(col("missing").eq(lit("CA")))],
+            schema(),
+            MemorySink::new("s"),
+        );
+        assert!(err.is_err());
+        assert!(fan.attached().is_empty());
     }
 }

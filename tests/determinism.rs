@@ -264,3 +264,116 @@ fn restart_across_partition_counts_repartitions_state() {
         "1 → 4 → 2 restart chain diverged from the serial run"
     );
 }
+
+fn dims_table(ctx: &StreamingContext) -> DataFrame {
+    let schema = Schema::of(vec![
+        Field::new("d_key", DataType::Utf8),
+        Field::new("label", DataType::Utf8),
+    ]);
+    // k5 and k6 have no dimension row: inner joins drop them, outer
+    // joins pad them.
+    let rows: Vec<Row> = (0..5)
+        .map(|k| row![format!("k{k}"), format!("dim-{k}")])
+        .collect();
+    ctx.read_table("dims", vec![RecordBatch::from_rows(schema, &rows).unwrap()])
+        .unwrap()
+}
+
+/// The two stateless shapes of [`run_stateless`].
+#[derive(Clone, Copy, Debug)]
+enum StatelessShape {
+    /// filter → project → watermark → left-outer static join with the
+    /// stream on the probe (left) side: chunk-safe.
+    StreamProbes,
+    /// The same chain joined with the stream on the right: the output
+    /// follows static-side order, so it must stay serial.
+    StreamOnRight,
+}
+
+/// Run an Append-mode stateless query to completion and return the sink
+/// rows in delivery order, plus whether any epoch ran a parallel map
+/// stage (an `execute` → `map` phase in the epoch profile).
+fn run_stateless(shape: StatelessShape, parallelism: usize, partitions: usize) -> (Vec<Row>, bool) {
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 3).unwrap();
+    let ctx = StreamingContext::new();
+    let dims = dims_table(&ctx);
+    // A 2 s lateness bound against ±5 s jitter: every wave after the
+    // first carries rows the watermark op drops.
+    let stream = ctx
+        .read_source(Arc::new(
+            BusSource::new(bus.clone(), "in", agg_schema()).unwrap(),
+        ))
+        .unwrap()
+        .filter(col("v").gt(lit(3i64)))
+        .select(vec![
+            col("key"),
+            col("v").mul(lit(10i64)).alias("v10"),
+            col("time"),
+        ])
+        .with_watermark("time", "2 seconds")
+        .unwrap();
+    let joined = match shape {
+        StatelessShape::StreamProbes => {
+            stream.join(&dims, JoinType::LeftOuter, vec![(col("key"), col("d_key"))])
+        }
+        StatelessShape::StreamOnRight => {
+            dims.join(&stream, JoinType::Inner, vec![(col("d_key"), col("key"))])
+        }
+    };
+    let sink = MemorySink::new("out");
+    let mut query = joined
+        .write_stream()
+        .output_mode(OutputMode::Append)
+        .sink(sink.clone())
+        .parallelism(parallelism)
+        .shuffle_partitions(partitions)
+        .start_sync()
+        .unwrap();
+    let mut fed = 0u64;
+    while fed < 120 {
+        feed_agg(&bus, 15, fed);
+        fed += 15;
+        query.process_available().unwrap();
+    }
+    let ran_map_stage = query.profiles().iter().any(|p| {
+        p.phases
+            .iter()
+            .any(|d| d.name == "map" && d.parent.as_deref() == Some("execute"))
+    });
+    query.stop().unwrap();
+    (sink.snapshot(), ran_map_stage)
+}
+
+/// Pins the chunk-safety rule of stateless chains: a chain whose
+/// stream probes every static join runs as a parallel map stage, one
+/// with the stream on the static join's right side stays serial, and
+/// both are byte-identical to serial execution everywhere in the
+/// matrix.
+#[test]
+fn stateless_chains_are_byte_identical_and_parallel_only_when_chunk_safe() {
+    for shape in [StatelessShape::StreamProbes, StatelessShape::StreamOnRight] {
+        let (expected, ran_map_stage) = run_stateless(shape, 1, 1);
+        assert!(
+            !expected.is_empty(),
+            "{shape:?}: reference produced no rows"
+        );
+        assert!(!ran_map_stage, "{shape:?}: the serial path ran a map stage");
+        for (p, s) in [(2, 2), (4, 4), (8, 8), (2, 8), (4, 2), (8, 3), (3, 1)] {
+            let (got, ran_map_stage) = run_stateless(shape, p, s);
+            assert_eq!(
+                got, expected,
+                "{shape:?}: sink bytes diverged at parallelism={p} partitions={s}"
+            );
+            let chunk_safe = matches!(shape, StatelessShape::StreamProbes);
+            assert_eq!(
+                ran_map_stage, chunk_safe,
+                "{shape:?}: map stage ran = {ran_map_stage} at parallelism={p} partitions={s}"
+            );
+        }
+    }
+    // The probe-side run pads unmatched keys; the right-side run drops
+    // them and reorders columns, so the two shapes really differ.
+    let (probes, _) = run_stateless(StatelessShape::StreamProbes, 1, 1);
+    assert!(probes.iter().any(|r| r.get(3).is_null()));
+}
