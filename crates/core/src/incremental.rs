@@ -24,15 +24,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rustc_hash::FxHashSet;
-
-use ss_common::{FaultRegistry, RecordBatch, Result, Row, SchemaRef, SsError};
+use ss_common::{FaultRegistry, RecordBatch, Result, SchemaRef, SsError};
 use ss_exec::aggregate::HashAggregator;
 use ss_exec::executor::Catalog;
 use ss_exec::ops;
 use ss_plan::stateful::StatefulOpDef;
 use ss_plan::{LogicalPlan, OutputMode, SortKey};
-use ss_state::{StateEntry, StateStore};
+use ss_state::{OpState, StateEntry, StateStore};
 
 use crate::chain::{ChainEnv, StatelessChain};
 use crate::sjoin::{JoinSide, StreamJoinExec};
@@ -227,50 +225,14 @@ impl IncNode {
             }
             IncNode::Aggregate { input, op_id, agg } => {
                 let delta = input.execute_epoch(ctx)?;
-                agg.update_batch(&delta)?;
-                let changed = agg.take_changed();
-                // Write-through: changed groups to the state store.
-                {
-                    let op = ctx.store.operator(op_id);
-                    for key in &changed {
-                        let states = agg
-                            .state_for_key(key)
-                            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
-                        op.put(key.clone(), StateEntry::new(states));
-                    }
-                }
-                match ctx.output_mode {
-                    OutputMode::Complete => agg.finish_all(),
-                    OutputMode::Update => {
-                        let out = agg.output_for_keys(&changed)?;
-                        if agg.is_windowed() && ctx.watermark_us > i64::MIN {
-                            let evicted = agg.evict_expired(ctx.watermark_us);
-                            let op = ctx.store.operator(op_id);
-                            for k in &evicted {
-                                op.evict(k);
-                            }
-                        }
-                        Ok(out)
-                    }
-                    OutputMode::Append => {
-                        let out = agg.drain_finalized(ctx.watermark_us)?;
-                        let op = ctx.store.operator(op_id);
-                        // drain_finalized removed groups from the
-                        // aggregator; mirror in the store by removing
-                        // every stored key no longer live.
-                        let live: FxHashSet<Row> =
-                            agg.state_entries().map(|(k, _)| k.clone()).collect();
-                        let dead: Vec<Row> = op
-                            .iter()
-                            .map(|(k, _)| k.clone())
-                            .filter(|k| !live.contains(k))
-                            .collect();
-                        for k in dead {
-                            op.evict(&k);
-                        }
-                        Ok(out)
-                    }
-                }
+                aggregate_epoch(
+                    agg,
+                    ctx.store.operator(op_id),
+                    &delta,
+                    None,
+                    ctx.output_mode,
+                    ctx.watermark_us,
+                )
             }
             IncNode::MapGroups { input, op_id, op } => {
                 let delta = input.execute_epoch(ctx)?;
@@ -320,15 +282,7 @@ impl IncNode {
     pub fn restore_state(&mut self, store: &mut StateStore) -> Result<()> {
         match self {
             IncNode::Aggregate { input, op_id, agg } => {
-                agg.clear();
-                let entries: Vec<(Row, Vec<Row>)> = store
-                    .operator(op_id)
-                    .iter()
-                    .map(|(k, e)| (k.clone(), e.values.clone()))
-                    .collect();
-                for (key, states) in entries {
-                    agg.restore_entry(key, &states)?;
-                }
+                restore_aggregate(agg, store.operator(op_id))?;
                 input.restore_state(store)
             }
             IncNode::Chain { input, chain } => {
@@ -460,6 +414,58 @@ impl IncNode {
         }
         (0..final_schema.len()).collect()
     }
+}
+
+/// One epoch of `StatefulAggregate` (§5.2) over `agg` and its state
+/// namespace `op`, shared by the serial operator and every parallel
+/// reduce shard (which passes its `owner`, see
+/// [`HashAggregator::ingest`]): ingest `delta`, write changed groups
+/// through to `op`, emit per output mode, and evict from `op` exactly
+/// the groups the aggregator dropped behind the watermark.
+pub(crate) fn aggregate_epoch(
+    agg: &mut HashAggregator,
+    op: &mut OpState,
+    delta: &RecordBatch,
+    owner: Option<(usize, usize)>,
+    mode: OutputMode,
+    watermark_us: i64,
+) -> Result<RecordBatch> {
+    agg.ingest(delta, owner)?;
+    let changed = agg.take_changed();
+    for key in &changed {
+        let states = agg
+            .state_for_key(key)
+            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
+        op.put(key.clone(), StateEntry::new(states));
+    }
+    let (out, evicted) = match mode {
+        OutputMode::Complete => (agg.finish_all()?, Vec::new()),
+        OutputMode::Update => {
+            let out = agg.output_for_keys(&changed)?;
+            // Before the first watermark nothing can expire.
+            let evicted = if watermark_us > i64::MIN {
+                agg.evict_expired(watermark_us)
+            } else {
+                Vec::new()
+            };
+            (out, evicted)
+        }
+        OutputMode::Append => agg.drain_finalized(watermark_us)?,
+    };
+    for k in &evicted {
+        op.evict(k);
+    }
+    Ok(out)
+}
+
+/// Rebuild `agg` from its (restored) state namespace `op` — §6.1 step 4
+/// for the serial operator and for each parallel shard.
+pub(crate) fn restore_aggregate(agg: &mut HashAggregator, op: &OpState) -> Result<()> {
+    agg.clear();
+    for (key, entry) in op.iter() {
+        agg.restore_entry(key.clone(), &entry.values)?;
+    }
+    Ok(())
 }
 
 /// Run one epoch through a chain: its input operator (or its scan,
@@ -658,7 +664,7 @@ fn inc_node(
 mod tests {
     use super::*;
     use ss_common::time::secs;
-    use ss_common::{row, DataType, Field, Schema, Value};
+    use ss_common::{row, DataType, Field, Row, Schema, Value};
     use ss_exec::MemoryCatalog;
     use ss_expr::{col, count_star, lit, window};
     use ss_plan::{JoinType, LogicalPlanBuilder};

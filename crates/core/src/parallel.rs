@@ -8,26 +8,30 @@
 //! 1. **Map stage** — the epoch's input batch is split into row chunks
 //!    and each chunk runs the plan's [`StatelessChain`] (shared with
 //!    the serial operator tree through an `Arc`) on a worker. For
-//!    stateful plans the map task also evaluates the
-//!    shuffle keys: aggregate chunks expand into `(group key, argument
-//!    values)` pairs, join chunks into keyed delta rows.
-//! 2. **Shuffle + reduce stage** — rows are hash-bucketed by key
-//!    ([`ss_common::shuffle_partition`]), so every key is **owned by
+//!    stateful plans the map task also routes its rows by shuffle key:
+//!    an aggregate chunk is split into one batch per reduce partition
+//!    (`HashAggregator::partition_rows`, then `RecordBatch::take`), a
+//!    join chunk into keyed delta rows.
+//! 2. **Shuffle + reduce stage** — keys are placed by
+//!    [`ss_common::shuffle_partition`], so every key is **owned by
 //!    exactly one reduce partition**. Each reduce task runs the same
-//!    stateful kernel serial execution runs, against that partition's
-//!    sharded state-store namespace (`{op_id}/p{r}`, joins
-//!    `{op_id}/p{r}-left/-right`).
+//!    stateful kernel serial execution runs (`aggregate_epoch` on the
+//!    partition's concatenated batch, `execute_on_states` for joins),
+//!    against that partition's sharded state-store namespace
+//!    (`{op_id}/p{r}`, joins `{op_id}/p{r}-left/-right`). A row whose
+//!    sliding windows fall in several partitions goes to each of them,
+//!    and each shard aggregates only the window keys it owns.
 //!
 //! ## Determinism
 //!
 //! The merged epoch output is **byte-identical to serial execution**,
 //! regardless of worker count or OS interleaving:
 //!
-//! * map outputs are concatenated in chunk order, so shuffled rows
-//!   reach their owning reduce partition in original arrival order —
-//!   each accumulator sees exactly the update sequence serial
-//!   execution would have fed it (bit-exact even for non-associative
-//!   float aggregation);
+//! * each partition's routed batches are concatenated in chunk order,
+//!   so shuffled rows reach their owning reduce partition in original
+//!   arrival order — each accumulator sees exactly the update sequence
+//!   serial execution would have fed it (bit-exact even for
+//!   non-associative float aggregation);
 //! * aggregate shards emit key-sorted rows and keys never span shards,
 //!   so concat-then-sort reproduces the serial (key-sorted) emission
 //!   order; join shards emit [`TaggedRow`]s whose `(phase, idx, key,
@@ -45,24 +49,22 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rustc_hash::FxHashSet;
-
 use ss_common::clock::ClockRef;
 use ss_common::profile::{
     ShuffleProfile, PHASE_MAP, PHASE_MERGE, PHASE_REDUCE, PHASE_SHUFFLE_READ, PHASE_SHUFFLE_WRITE,
 };
 use ss_common::{
-    shuffle_partition, FaultRegistry, MetricsRegistry, RecordBatch, Result, RetryPolicy, Row,
-    SsError, TraceLog, Value,
+    shuffle_partition, Column, FaultRegistry, MetricsRegistry, RecordBatch, Result, RetryPolicy,
+    Row, SsError, TraceLog, Value,
 };
-use ss_exec::aggregate::{HashAggregator, KeyExpander};
+use ss_exec::aggregate::HashAggregator;
 use ss_exec::ops;
-use ss_plan::{OutputMode, SortKey};
+use ss_plan::SortKey;
 use ss_sched::{failpoints, ScatterStats, WorkerPool};
 use ss_state::{OpState, StateEntry, StateStore};
 
 use crate::chain::{ChainEnv, StatelessChain};
-use crate::incremental::{EpochContext, IncNode};
+use crate::incremental::{aggregate_epoch, restore_aggregate, EpochContext, IncNode};
 use crate::microbatch::retried;
 use crate::sjoin::{KeyedDeltaRow, StreamJoinExec, TaggedRow};
 
@@ -82,9 +84,9 @@ enum ParallelPlan {
     Aggregate {
         chain: Arc<StatelessChain>,
         op_id: String,
-        expander: KeyExpander,
-        /// Empty blueprint for rebuilding shards on restore.
-        template: Box<HashAggregator>,
+        /// Empty blueprint: map tasks route rows with it, and shards
+        /// are cloned from it.
+        template: Arc<HashAggregator>,
         /// One aggregator per reduce partition, holding only the keys
         /// that hash there.
         shards: Vec<HashAggregator>,
@@ -230,7 +232,6 @@ impl ParallelExec {
             ParallelPlan::Aggregate {
                 chain,
                 op_id,
-                expander,
                 template,
                 shards,
                 suffix,
@@ -239,11 +240,12 @@ impl ParallelExec {
                 let chunks = split_chunks(input, partitions);
                 let parts = partitions;
 
-                // Map stage: chain + key expansion + local bucketing.
+                // Map stage: chain, then route every row to the
+                // partitions that own its group keys.
                 let mut tasks: Vec<MapTask<AggMapOut>> = Vec::with_capacity(chunks.len());
                 for chunk in chunks {
                     let chain = chain.clone();
-                    let expander = expander.clone();
+                    let agg = template.clone();
                     let wm = ctx.watermark_us;
                     let TaskEnv {
                         faults,
@@ -258,18 +260,17 @@ impl ParallelExec {
                         })?;
                         faults.fire(failpoints::TASK_HANG)?;
                         let (out, maxima) = apply_chunk(&chain, chunk, wm, &faults)?;
-                        let pairs = expander.expand(&out)?;
                         retried(&retry, &clock, &interrupt, &registry, "sched_shuffle_write", || {
                             faults.fire(failpoints::SHUFFLE_WRITE)
                         })?;
                         let t_write = Instant::now();
-                        let mut buckets: Vec<Vec<(Row, Row)>> =
-                            (0..parts).map(|_| Vec::new()).collect();
-                        for (key, args) in pairs {
-                            buckets[shuffle_partition(&key, parts)].push((key, args));
-                        }
+                        let batches = agg
+                            .partition_rows(&out, parts)?
+                            .iter()
+                            .map(|rows| out.take(rows))
+                            .collect::<Result<Vec<_>>>()?;
                         let write_us = t_write.elapsed().as_micros() as u64;
-                        Ok((buckets, maxima, write_us))
+                        Ok((batches, maxima, write_us))
                     }));
                 }
                 let t_map = Instant::now();
@@ -277,31 +278,27 @@ impl ParallelExec {
                 phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
                 stats.absorb(map_out.stats);
 
-                // Shuffle: concatenate per-chunk buckets in chunk order
-                // so each partition receives its keys' pairs in the
-                // original global arrival order.
+                // Shuffle: concatenate each partition's batches in chunk
+                // order, so every key sees its rows in the original
+                // global arrival order.
                 let t_read = Instant::now();
-                let mut shuffled: Vec<Vec<(Row, Row)>> =
-                    (0..parts).map(|_| Vec::new()).collect();
+                let mut routed: Vec<Vec<RecordBatch>> = (0..parts).map(|_| Vec::new()).collect();
                 let mut maxima = Vec::new();
                 let mut write_us_total = 0u64;
-                for (buckets, m, write_us) in map_out.results {
-                    for (r, b) in buckets.into_iter().enumerate() {
-                        shuffled[r].extend(b);
+                for (batches, m, write_us) in map_out.results {
+                    for (r, b) in batches.into_iter().enumerate() {
+                        routed[r].push(b);
                     }
                     maxima.extend(m);
                     write_us_total += write_us;
                 }
                 observe_maxima(ctx, maxima);
-                let part_rows: Vec<u64> = shuffled.iter().map(|p| p.len() as u64).collect();
-                let part_bytes: Vec<u64> = shuffled
+                let shuffled: Vec<RecordBatch> = routed
                     .iter()
-                    .map(|p| {
-                        p.iter()
-                            .map(|(k, a)| (k.approx_bytes() + a.approx_bytes()) as u64)
-                            .sum()
-                    })
-                    .collect();
+                    .map(|b| RecordBatch::concat(b))
+                    .collect::<Result<_>>()?;
+                let part_rows: Vec<u64> = shuffled.iter().map(|b| b.num_rows() as u64).collect();
+                let part_bytes: Vec<u64> = shuffled.iter().map(approx_batch_bytes).collect();
                 phases.push((PHASE_SHUFFLE_WRITE, write_us_total));
                 phases.push((PHASE_SHUFFLE_READ, t_read.elapsed().as_micros() as u64));
                 let prof = ShuffleProfile::new(part_rows, part_bytes);
@@ -309,17 +306,16 @@ impl ParallelExec {
                 shuffle_prof = Some(prof);
 
                 // Reduce stage: every partition runs the serial
-                // aggregate kernel over its own shard + state shard.
+                // aggregate epoch over its shard and state shard.
                 if shards.len() != parts {
                     // First epoch (or post-failure): build fresh shards.
                     *shards = (0..parts).map(|_| template.fresh_clone()).collect();
                 }
                 let shard_aggs = std::mem::take(shards);
                 let mut tasks: Vec<MapTask<AggReduceOut>> = Vec::with_capacity(parts);
-                for (r, (shard, pairs)) in
-                    shard_aggs.into_iter().zip(shuffled).enumerate()
-                {
-                    let op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
+                for (r, (mut shard, delta)) in shard_aggs.into_iter().zip(shuffled).enumerate() {
+                    let mut op = ctx.store.take_op(&shard_ns(op_id, r, parts, ""));
+                    let owner = Some((r, parts));
                     let mode = ctx.output_mode;
                     let wm = ctx.watermark_us;
                     let TaskEnv {
@@ -334,7 +330,8 @@ impl ParallelExec {
                             faults.fire(failpoints::TASK_RUN)
                         })?;
                         faults.fire(failpoints::TASK_HANG)?;
-                        reduce_aggregate(shard, op, pairs, mode, wm)
+                        let out = aggregate_epoch(&mut shard, &mut op, &delta, owner, mode, wm)?;
+                        Ok((shard, op, out.to_rows()))
                     }));
                 }
                 let t_reduce = Instant::now();
@@ -555,15 +552,7 @@ impl ParallelExec {
                 chain.reset();
                 *shards = (0..parts).map(|_| template.fresh_clone()).collect();
                 for (r, shard) in shards.iter_mut().enumerate() {
-                    let ns = shard_ns(op_id, r, parts, "");
-                    let entries: Vec<(Row, Vec<Row>)> = store
-                        .operator(&ns)
-                        .iter()
-                        .map(|(k, e)| (k.clone(), e.values.clone()))
-                        .collect();
-                    for (key, states) in entries {
-                        shard.restore_entry(key, &states)?;
-                    }
+                    restore_aggregate(shard, store.operator(&shard_ns(op_id, r, parts, "")))?;
                 }
             }
         }
@@ -634,9 +623,9 @@ type MapTask<R> = Box<dyn FnOnce() -> Result<R> + Send>;
 /// A stateless map task's output: the chunk after the chain, plus
 /// per-column event-time maxima observed by watermark ops.
 type ChainOut = (RecordBatch, Vec<(String, i64)>);
-/// An aggregate map task's output: per-partition key/args buckets,
-/// watermark maxima, and the in-task shuffle-write bucketing time (µs).
-type AggMapOut = (Vec<Vec<(Row, Row)>>, Vec<(String, i64)>, u64);
+/// An aggregate map task's output: one batch per reduce partition,
+/// watermark maxima, and the in-task shuffle-write routing time (µs).
+type AggMapOut = (Vec<RecordBatch>, Vec<(String, i64)>, u64);
 type AggReduceOut = (HashAggregator, OpState, Vec<Row>);
 type JoinMapOut = (Vec<KeyedDeltaRow>, Vec<(String, i64)>);
 type JoinReduceOut = (OpState, OpState, Vec<TaggedRow>);
@@ -653,50 +642,18 @@ fn shard_ns(base: &str, r: usize, partitions: usize, suffix: &str) -> String {
     }
 }
 
-/// The serial aggregate kernel, verbatim, over one partition's shard.
-fn reduce_aggregate(
-    mut shard: HashAggregator,
-    mut op: OpState,
-    pairs: Vec<(Row, Row)>,
-    mode: OutputMode,
-    watermark_us: i64,
-) -> Result<AggReduceOut> {
-    shard.update_pairs(pairs)?;
-    let changed = shard.take_changed();
-    for key in &changed {
-        let states = shard
-            .state_for_key(key)
-            .ok_or_else(|| SsError::Internal("changed key missing".into()))?;
-        op.put(key.clone(), StateEntry::new(states));
-    }
-    let out = match mode {
-        OutputMode::Complete => shard.finish_all()?,
-        OutputMode::Update => {
-            let out = shard.output_for_keys(&changed)?;
-            if shard.is_windowed() && watermark_us > i64::MIN {
-                for k in shard.evict_expired(watermark_us) {
-                    op.evict(&k);
-                }
-            }
-            out
-        }
-        OutputMode::Append => {
-            let out = shard.drain_finalized(watermark_us)?;
-            let live: FxHashSet<Row> =
-                shard.state_entries().map(|(k, _)| k.clone()).collect();
-            let dead: Vec<Row> = op
-                .iter()
-                .map(|(k, _)| k.clone())
-                .filter(|k| !live.contains(k))
-                .collect();
-            for k in dead {
-                op.evict(&k);
-            }
-            out
-        }
-    };
-    let rows = out.to_rows();
-    Ok((shard, op, rows))
+/// Approximate bytes of a shuffled batch, estimated per column: eight
+/// per value, plus each string's payload.
+fn approx_batch_bytes(batch: &RecordBatch) -> u64 {
+    let bytes: usize = batch
+        .columns()
+        .iter()
+        .map(|c| match c {
+            Column::Utf8(s) => s.values().iter().map(|s| s.len() + 8).sum(),
+            c => c.len() * 8,
+        })
+        .sum();
+    bytes as u64
 }
 
 /// Apply a map stage's chain to one chunk, returning the output and
@@ -779,8 +736,7 @@ fn compile(root: &IncNode) -> Option<ParallelPlan> {
         IncNode::Aggregate { input, op_id, agg } => Some(ParallelPlan::Aggregate {
             chain: map_chain(input)?,
             op_id: op_id.clone(),
-            expander: agg.key_expander(),
-            template: Box::new(agg.fresh_clone()),
+            template: Arc::new(agg.fresh_clone()),
             shards: Vec::new(),
             suffix,
         }),

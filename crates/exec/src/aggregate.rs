@@ -14,18 +14,26 @@
 //!
 //!   The `state_entries` / `restore_entry` pair serializes the group map
 //!   to the state store for checkpointing (§6.1).
+//! * **Sharded** (parallel reduce): [`HashAggregator::partition_rows`]
+//!   routes each input row to the reduce partitions that own its group
+//!   keys, and each shard runs the same [`HashAggregator::ingest`] on the
+//!   rows it was routed, with an owner `(r, parts)`, so every group
+//!   lives in exactly one shard.
 //!
 //! Event-time windows: one `window()` grouping key is supported; each
 //! row expands into `size/slide` windows (one for tumbling windows), the
 //! same assignment Spark's window expression produces. Rows whose
 //! timestamp is NULL are dropped from windowed aggregation, as in Spark.
+//! Key evaluation and window expansion are written once, in the key
+//! visitor both ingest and routing use.
 
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 
 use ss_common::{
-    Column, DataType, Field, RecordBatch, Result, Row, Schema, SchemaRef, SsError, Value,
+    shuffle_partition, Column, DataType, Field, RecordBatch, Result, Row, Schema, SchemaRef,
+    SsError, Value,
 };
 use ss_expr::agg::Accumulator;
 use ss_expr::eval::evaluate;
@@ -155,18 +163,16 @@ impl HashAggregator {
 
     /// Ingest one batch of input rows.
     pub fn update_batch(&mut self, batch: &RecordBatch) -> Result<()> {
+        self.ingest(batch, None)
+    }
+
+    /// Ingest one batch. With an `owner` `(r, parts)` this aggregator
+    /// is reduce shard `r` of `parts`, fed the rows
+    /// [`HashAggregator::partition_rows`] routed to it, and updates only
+    /// the groups it owns.
+    pub fn ingest(&mut self, batch: &RecordBatch, owner: Option<(usize, usize)>) -> Result<()> {
         if batch.num_rows() == 0 {
             return Ok(());
-        }
-        // Evaluate grouping columns (the window slot gets the raw
-        // timestamp; expansion happens per row below).
-        let mut key_cols: Vec<Column> = Vec::with_capacity(self.group_exprs.len());
-        for (i, g) in self.group_exprs.iter().enumerate() {
-            let col = match &self.window {
-                Some(w) if w.slot == i => evaluate(&w.time, batch)?,
-                _ => evaluate(g, batch)?,
-            };
-            key_cols.push(col);
         }
         // Evaluate aggregate argument columns once, vectorized.
         let arg_cols: Vec<Option<Column>> = self
@@ -174,82 +180,44 @@ impl HashAggregator {
             .iter()
             .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
             .collect::<Result<_>>()?;
-
-        // Typed access to the window timestamp column (avoids a Value
-        // allocation per row on the hot path).
-        let window_info = match &self.window {
-            Some(w) => {
-                let tc = key_cols[w.slot].as_i64()?.clone();
-                Some((w.slot, w.size_us, w.slide_us, tc))
-            }
-            None => None,
-        };
         let n_keys = self.group_exprs.len();
-        let mut key_buf: Vec<Value> = Vec::with_capacity(n_keys);
-        // Sliding windows need the expansion list; tumbling windows
-        // (the common case) take the inline single-window path.
-        let mut starts_buf: Vec<i64> = Vec::new();
-        for row in 0..batch.num_rows() {
-            starts_buf.clear();
-            match &window_info {
-                Some((_, size, slide, tc)) => match tc.get(row) {
-                    // Rows with NULL event time are dropped.
-                    None => continue,
-                    Some(&ts) if slide == size => {
-                        starts_buf.push(ss_common::time::window_start(ts, *size, 0));
-                    }
-                    Some(&ts) => {
-                        starts_buf.extend(
-                            ss_common::time::windows_for(ts, *size, *slide)
-                                .into_iter()
-                                .map(|(s, _)| s),
-                        );
-                    }
-                },
-                None => starts_buf.push(0),
+        let (group_exprs, window) = (&self.group_exprs, self.window.as_ref());
+        for_each_key(group_exprs, window, batch, owner, |row, key| {
+            // Look up without cloning the key; the buffer is only
+            // taken when the group is new.
+            if let Some(entry) = self.groups.get_mut(key) {
+                entry.dirty = true;
+                return update_accs(&mut entry.accs, &arg_cols, row);
             }
-            for &start in &starts_buf {
-                key_buf.clear();
-                for (i, kc) in key_cols.iter().enumerate() {
-                    match &window_info {
-                        Some((slot, ..)) if *slot == i => key_buf.push(Value::Timestamp(start)),
-                        _ => key_buf.push(kc.value(row)),
-                    }
-                }
-                // Look up without cloning the key; the buffer is
-                // recycled when the group already exists.
-                let key = Row::new(std::mem::take(&mut key_buf));
-                match self.groups.get_mut(&key) {
-                    Some(entry) => {
-                        for (acc, arg) in entry.accs.iter_mut().zip(&arg_cols) {
-                            match arg {
-                                Some(col) => acc.update_value(&col.value(row))?,
-                                // count(*): any non-NULL value counts.
-                                None => acc.update_value(&Value::Int64(1))?,
-                            }
-                        }
-                        entry.dirty = true;
-                        key_buf = key.0;
-                    }
-                    None => {
-                        let mut accs: Vec<Accumulator> = self
-                            .aggregates
-                            .iter()
-                            .map(|a| a.create_accumulator())
-                            .collect();
-                        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-                            match arg {
-                                Some(col) => acc.update_value(&col.value(row))?,
-                                None => acc.update_value(&Value::Int64(1))?,
-                            }
-                        }
-                        self.groups.insert(key, GroupEntry { accs, dirty: true });
-                        key_buf = Vec::with_capacity(n_keys);
-                    }
-                }
+            let mut accs: Vec<Accumulator> = self
+                .aggregates
+                .iter()
+                .map(|a| a.create_accumulator())
+                .collect();
+            update_accs(&mut accs, &arg_cols, row)?;
+            let key = std::mem::replace(key, Row::new(Vec::with_capacity(n_keys)));
+            self.groups.insert(key, GroupEntry { accs, dirty: true });
+            Ok(())
+        })
+    }
+
+    /// Route `batch`'s rows to `parts` reduce partitions: per partition,
+    /// the indices of the rows with a group key it owns
+    /// ([`shuffle_partition`]), in arrival order. A row goes to every
+    /// partition that owns one of its window keys; a row whose event
+    /// time is NULL goes nowhere. Shard `r` ingests its rows with owner
+    /// `(r, parts)`.
+    pub fn partition_rows(&self, batch: &RecordBatch, parts: usize) -> Result<Vec<Vec<usize>>> {
+        let mut out: Vec<Vec<usize>> = vec![Vec::new(); parts];
+        let (group_exprs, window) = (&self.group_exprs, self.window.as_ref());
+        for_each_key(group_exprs, window, batch, None, |row, key| {
+            let rows = &mut out[shuffle_partition(key, parts)];
+            if rows.last() != Some(&row) {
+                rows.push(row);
             }
-        }
-        Ok(())
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Keys whose aggregates changed since the last call (dirty flags
@@ -294,9 +262,10 @@ impl HashAggregator {
 
     /// Append-mode finalization: emit and evict every windowed group
     /// whose `window_end <= watermark_us`. Returns the finalized rows
-    /// sorted by key. Errors if the grouping has no window (such
-    /// queries cannot use Append mode; the analyzer enforces this).
-    pub fn drain_finalized(&mut self, watermark_us: i64) -> Result<RecordBatch> {
+    /// and the evicted keys, both sorted by key. Errors if the grouping
+    /// has no window (such queries cannot use Append mode; the analyzer
+    /// enforces this).
+    pub fn drain_finalized(&mut self, watermark_us: i64) -> Result<(RecordBatch, Vec<Row>)> {
         let w = self.window.as_ref().ok_or_else(|| {
             SsError::Plan("append finalization requires a window() grouping key".into())
         })?;
@@ -319,7 +288,8 @@ impl HashAggregator {
                 self.output_row(k, &entry.accs)
             })
             .collect();
-        RecordBatch::from_rows(self.output_schema.clone(), &rows)
+        let out = RecordBatch::from_rows(self.output_schema.clone(), &rows)?;
+        Ok((out, done))
     }
 
     /// Drop windowed state older than the watermark *without* emitting
@@ -410,8 +380,6 @@ impl HashAggregator {
         self.groups.clear();
     }
 
-    // ---- data-parallel execution (partial/merge split) ----
-
     /// An empty aggregator with the same configuration — the shard
     /// constructor for partitioned execution (each reduce partition
     /// owns one clone holding only its keys' state).
@@ -425,169 +393,87 @@ impl HashAggregator {
             groups: FxHashMap::default(),
         }
     }
-
-    /// The map-side half of this aggregator: evaluates grouping keys
-    /// (with window expansion) and aggregate arguments, without
-    /// touching any group state. Map tasks run this per input
-    /// partition; the resulting pairs are shuffled by key.
-    pub fn key_expander(&self) -> KeyExpander {
-        KeyExpander {
-            group_exprs: self.group_exprs.clone(),
-            window: self.window.clone(),
-            aggregates: self.aggregates.clone(),
-        }
-    }
-
-    /// Reduce-side ingest of shuffled `(key, argument-values)` pairs
-    /// produced by [`KeyExpander::expand`].
-    ///
-    /// Pairs must arrive in the original arrival order of their source
-    /// rows; each accumulator then sees exactly the same update
-    /// sequence as [`HashAggregator::update_batch`] would have fed it,
-    /// so results are bit-identical to serial execution even for
-    /// non-associative float accumulation.
-    pub fn update_pairs(&mut self, pairs: Vec<(Row, Row)>) -> Result<()> {
-        for (key, args) in pairs {
-            if args.len() != self.aggregates.len() {
-                return Err(SsError::Internal(format!(
-                    "shuffled pair has {} argument values, expected {}",
-                    args.len(),
-                    self.aggregates.len()
-                )));
-            }
-            match self.groups.get_mut(&key) {
-                Some(entry) => {
-                    for (acc, v) in entry.accs.iter_mut().zip(args.values()) {
-                        acc.update_value(v)?;
-                    }
-                    entry.dirty = true;
-                }
-                None => {
-                    let mut accs: Vec<Accumulator> = self
-                        .aggregates
-                        .iter()
-                        .map(|a| a.create_accumulator())
-                        .collect();
-                    for (acc, v) in accs.iter_mut().zip(args.values()) {
-                        acc.update_value(v)?;
-                    }
-                    self.groups.insert(key, GroupEntry { accs, dirty: true });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Drain every group as `(key, per-aggregate partial state)`,
-    /// sorted by key. The partial half of the partial/merge kernel
-    /// split: used to move state between shards when the partition
-    /// count changes, and by opt-in map-side combining.
-    pub fn take_partials(&mut self) -> Vec<(Row, Vec<Row>)> {
-        let mut out: Vec<(Row, Vec<Row>)> = self
-            .groups
-            .drain()
-            .map(|(k, e)| (k, e.accs.iter().map(|a| a.state()).collect()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Merge one partial state produced by [`HashAggregator::take_partials`]
-    /// into this aggregator, marking the group changed this epoch.
-    /// Unlike [`HashAggregator::restore_entry`] (checkpoint restore,
-    /// which leaves groups clean), merged partials represent new data
-    /// and must show up in `take_changed`.
-    pub fn merge_partial(&mut self, key: Row, states: &[Row]) -> Result<()> {
-        self.restore_entry(key.clone(), states)?;
-        if let Some(entry) = self.groups.get_mut(&key) {
-            entry.dirty = true;
-        }
-        Ok(())
-    }
 }
 
-/// The map-side half of a [`HashAggregator`]: key evaluation, window
-/// expansion and aggregate-argument evaluation, with no group state.
-///
-/// [`KeyExpander::expand`] preserves arrival order — pair `i` comes
-/// from an earlier (row, window) visit than pair `i+1` — which is what
-/// lets the reduce side replay serial accumulation order per key.
-#[derive(Debug, Clone)]
-pub struct KeyExpander {
-    group_exprs: Vec<Expr>,
-    window: Option<WindowSpec>,
-    aggregates: Vec<AggregateExpr>,
+/// Visit every `(row, group key)` of `batch` in arrival order: the one
+/// place grouping keys are evaluated. Rows whose event time is NULL are
+/// dropped, as in Spark, and every other row expands into its windows.
+/// With an `owner` `(r, parts)`, a row that expands into several
+/// windows visits only the keys partition `r` owns; a row with one key
+/// was routed to its owner already. `visit` gets the row index and the
+/// key in a reused buffer, which it may take.
+fn for_each_key(
+    group_exprs: &[Expr],
+    window: Option<&WindowSpec>,
+    batch: &RecordBatch,
+    owner: Option<(usize, usize)>,
+    mut visit: impl FnMut(usize, &mut Row) -> Result<()>,
+) -> Result<()> {
+    // The window slot evaluates to the raw timestamp; expansion
+    // happens per row below.
+    let key_cols: Vec<Column> = group_exprs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| match window {
+            Some(w) if w.slot == i => evaluate(&w.time, batch),
+            _ => evaluate(g, batch),
+        })
+        .collect::<Result<_>>()?;
+    // Typed access to the timestamps avoids a Value per row.
+    let window = match window {
+        Some(w) => Some((w, key_cols[w.slot].as_i64()?)),
+        None => None,
+    };
+    let mut key = Row::new(Vec::with_capacity(key_cols.len()));
+    let mut starts: Vec<i64> = Vec::new();
+    for row in 0..batch.num_rows() {
+        starts.clear();
+        match window {
+            Some((w, times)) => match times.get(row) {
+                None => continue,
+                Some(&ts) if w.slide_us == w.size_us => {
+                    starts.push(ss_common::time::window_start(ts, w.size_us, 0));
+                }
+                Some(&ts) => starts.extend(
+                    ss_common::time::windows_for(ts, w.size_us, w.slide_us)
+                        .into_iter()
+                        .map(|(s, _)| s),
+                ),
+            },
+            None => starts.push(0),
+        }
+        let owner = owner.filter(|_| starts.len() > 1);
+        for &start in &starts {
+            key.0.clear();
+            // One push per arm: a single push of the matched value ran
+            // the serial Yahoo aggregate about 10% slower.
+            for (i, kc) in key_cols.iter().enumerate() {
+                match window {
+                    Some((w, _)) if w.slot == i => key.0.push(Value::Timestamp(start)),
+                    _ => key.0.push(kc.value(row)),
+                }
+            }
+            if let Some((r, parts)) = owner {
+                if shuffle_partition(&key, parts) != r {
+                    continue;
+                }
+            }
+            visit(row, &mut key)?;
+        }
+    }
+    Ok(())
 }
 
-impl KeyExpander {
-    /// Expand a batch into `(group key, aggregate-argument values)`
-    /// pairs, in arrival order. Rows with NULL event time are dropped
-    /// and sliding windows fan one row out to `size/slide` pairs,
-    /// exactly as [`HashAggregator::update_batch`] does.
-    pub fn expand(&self, batch: &RecordBatch) -> Result<Vec<(Row, Row)>> {
-        let mut pairs = Vec::new();
-        if batch.num_rows() == 0 {
-            return Ok(pairs);
+/// Feed row `row`'s argument values to one group's accumulators.
+fn update_accs(accs: &mut [Accumulator], arg_cols: &[Option<Column>], row: usize) -> Result<()> {
+    for (acc, arg) in accs.iter_mut().zip(arg_cols) {
+        match arg {
+            Some(col) => acc.update_value(&col.value(row))?,
+            // count(*): any non-NULL value counts.
+            None => acc.update_value(&Value::Int64(1))?,
         }
-        let mut key_cols: Vec<Column> = Vec::with_capacity(self.group_exprs.len());
-        for (i, g) in self.group_exprs.iter().enumerate() {
-            let col = match &self.window {
-                Some(w) if w.slot == i => evaluate(&w.time, batch)?,
-                _ => evaluate(g, batch)?,
-            };
-            key_cols.push(col);
-        }
-        let arg_cols: Vec<Option<Column>> = self
-            .aggregates
-            .iter()
-            .map(|a| a.arg.as_ref().map(|e| evaluate(e, batch)).transpose())
-            .collect::<Result<_>>()?;
-        let window_info = match &self.window {
-            Some(w) => {
-                let tc = key_cols[w.slot].as_i64()?.clone();
-                Some((w.slot, w.size_us, w.slide_us, tc))
-            }
-            None => None,
-        };
-        let mut starts_buf: Vec<i64> = Vec::new();
-        for row in 0..batch.num_rows() {
-            starts_buf.clear();
-            match &window_info {
-                Some((_, size, slide, tc)) => match tc.get(row) {
-                    None => continue,
-                    Some(&ts) if slide == size => {
-                        starts_buf.push(ss_common::time::window_start(ts, *size, 0));
-                    }
-                    Some(&ts) => {
-                        starts_buf.extend(
-                            ss_common::time::windows_for(ts, *size, *slide)
-                                .into_iter()
-                                .map(|(s, _)| s),
-                        );
-                    }
-                },
-                None => starts_buf.push(0),
-            }
-            for &start in &starts_buf {
-                let mut key = Vec::with_capacity(self.group_exprs.len());
-                for (i, kc) in key_cols.iter().enumerate() {
-                    match &window_info {
-                        Some((slot, ..)) if *slot == i => key.push(Value::Timestamp(start)),
-                        _ => key.push(kc.value(row)),
-                    }
-                }
-                let args: Vec<Value> = arg_cols
-                    .iter()
-                    .map(|arg| match arg {
-                        Some(col) => col.value(row),
-                        None => Value::Int64(1),
-                    })
-                    .collect();
-                pairs.push((Row::new(key), Row::new(args)));
-            }
-        }
-        Ok(pairs)
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -595,7 +481,7 @@ mod tests {
     use super::*;
     use ss_common::row;
     use ss_common::time::secs;
-    use ss_expr::{avg, col, count_star, sum, window, window_sliding};
+    use ss_expr::{avg, col, count, count_star, sum, window, window_sliding};
 
     fn schema() -> SchemaRef {
         Schema::of(vec![
@@ -741,14 +627,16 @@ mod tests {
         ]))
         .unwrap();
         // Watermark at 12s closes [0,10) only.
-        let out = agg.drain_finalized(secs(12)).unwrap();
+        let (out, evicted) = agg.drain_finalized(secs(12)).unwrap();
         assert_eq!(
             out.to_rows(),
             vec![row![Value::Timestamp(0), Value::Timestamp(secs(10)), 1i64]]
         );
+        assert_eq!(evicted, vec![row![Value::Timestamp(0)]]);
         assert_eq!(agg.num_groups(), 1);
         // Draining again at the same watermark emits nothing.
-        assert_eq!(agg.drain_finalized(secs(12)).unwrap().num_rows(), 0);
+        let (out, evicted) = agg.drain_finalized(secs(12)).unwrap();
+        assert_eq!((out.num_rows(), evicted.len()), (0, 0));
     }
 
     #[test]
@@ -815,97 +703,81 @@ mod tests {
     }
 
     #[test]
-    fn expand_plus_update_pairs_matches_update_batch() {
-        // Includes avg (float accumulation) so order sensitivity would
-        // show up as bit differences.
-        let make = || {
-            HashAggregator::new(
-                schema(),
-                vec![window(col("time"), "10 seconds").unwrap(), col("campaign")],
-                vec![count_star(), sum(col("v")), avg(col("v"))],
-            )
-            .unwrap()
-        };
-        let input = batch(&[
-            row!["a", Value::Timestamp(secs(5)), 1i64],
-            row!["b", Value::Timestamp(secs(9)), 2i64],
-            row!["a", Value::Timestamp(secs(15)), 3i64],
-            row!["a", Value::Timestamp(secs(6)), 4i64],
+    fn routed_shards_hold_disjoint_keys_and_match_update_batch_bit_for_bit() {
+        let schema = Schema::of(vec![
+            Field::new("campaign", DataType::Utf8),
+            Field::new("time", DataType::Timestamp),
+            Field::new("v", DataType::Int64),
+            Field::new("x", DataType::Float64),
         ]);
-        let mut serial = make();
-        serial.update_batch(&input).unwrap();
-        let mut sharded = make();
-        sharded
-            .update_pairs(sharded.key_expander().expand(&input).unwrap())
-            .unwrap();
-        assert_eq!(
-            sharded.finish_all().unwrap(),
-            serial.finish_all().unwrap()
-        );
-        assert_eq!(sharded.take_changed(), serial.take_changed());
-    }
-
-    #[test]
-    fn expander_drops_null_event_times_and_fans_out_sliding_windows() {
-        let agg = HashAggregator::new(
-            schema(),
-            vec![window_sliding(col("time"), "10 seconds", "5 seconds").unwrap()],
-            vec![count_star()],
-        )
-        .unwrap();
-        let pairs = agg
-            .key_expander()
-            .expand(&batch(&[
-                row!["a", Value::Null, 0i64],
-                row!["a", Value::Timestamp(secs(7)), 0i64],
-            ]))
-            .unwrap();
-        // NULL row dropped; t=7s expands to windows [0,10) and [5,15).
-        assert_eq!(
-            pairs,
+        // NULL event times, NULL count(v) arguments, and float addends
+        // whose sum depends on the order they arrive in.
+        let rows: Vec<Row> = (0..48i64)
+            .map(|i| {
+                let time = match i % 7 {
+                    3 => Value::Null,
+                    _ => Value::Timestamp(secs(i * 13 % 40)),
+                };
+                let v = match i % 5 {
+                    0 => Value::Null,
+                    _ => Value::Int64(i),
+                };
+                let x = [1e16, 1.0, -1e16, 0.1][i as usize % 4] * (i + 1) as f64;
+                row![["a", "b", "c"][i as usize % 3], time, v, Value::Float64(x)]
+            })
+            .collect();
+        let input = RecordBatch::from_rows(schema.clone(), &rows).unwrap();
+        let nulls: Vec<usize> = (0..rows.len()).filter(|i| i % 7 == 3).collect();
+        let groupings = [
+            vec![window(col("time"), "10 seconds").unwrap(), col("campaign")],
             vec![
-                (row![Value::Timestamp(0)], row![1i64]),
-                (row![Value::Timestamp(secs(5))], row![1i64]),
-            ]
-        );
-    }
-
-    #[test]
-    fn update_pairs_rejects_wrong_arity() {
-        let mut agg =
-            HashAggregator::new(schema(), vec![col("campaign")], vec![count_star()]).unwrap();
-        assert!(agg
-            .update_pairs(vec![(row!["a"], row![1i64, 2i64])])
-            .is_err());
-    }
-
-    #[test]
-    fn take_partials_then_merge_partial_rebuilds_state_as_changed() {
-        let mut agg = HashAggregator::new(
-            schema(),
-            vec![col("campaign")],
-            vec![sum(col("v")), count_star()],
-        )
-        .unwrap();
-        agg.update_batch(&batch(&[
-            row!["a", Value::Timestamp(0), 5i64],
-            row!["b", Value::Timestamp(0), 2i64],
-        ]))
-        .unwrap();
-        agg.take_changed();
-        let expected = agg.finish_all().unwrap();
-        let partials = agg.take_partials();
-        assert_eq!(agg.num_groups(), 0);
-        assert_eq!(partials.len(), 2);
-        assert!(partials[0].0 < partials[1].0, "partials sorted by key");
-        let mut rebuilt = agg.fresh_clone();
-        for (k, s) in partials {
-            rebuilt.merge_partial(k, &s).unwrap();
+                window_sliding(col("time"), "10 seconds", "5 seconds").unwrap(),
+                col("campaign"),
+            ],
+            vec![],
+        ];
+        for group_exprs in groupings {
+            let windowed = !group_exprs.is_empty();
+            let make = || {
+                HashAggregator::new(
+                    schema.clone(),
+                    group_exprs.clone(),
+                    vec![count_star(), count(col("v")), sum(col("x"))],
+                )
+                .unwrap()
+            };
+            let mut serial = make();
+            serial.update_batch(&input).unwrap();
+            let mut expected: Vec<(Row, Vec<Row>)> = serial
+                .state_entries()
+                .map(|(k, s)| (k.clone(), s))
+                .collect();
+            expected.sort();
+            for parts in [1, 2, 3, 8] {
+                let routes = serial.partition_rows(&input, parts).unwrap();
+                assert_eq!(routes.len(), parts);
+                let mut union: Vec<(Row, Vec<Row>)> = Vec::new();
+                for (r, route) in routes.iter().enumerate() {
+                    assert!(route.windows(2).all(|w| w[0] < w[1]), "arrival order");
+                    if windowed {
+                        assert!(route.iter().all(|i| !nulls.contains(i)), "NULL time routed");
+                    }
+                    let mut shard = make();
+                    let routed = input.take(route).unwrap();
+                    shard.ingest(&routed, Some((r, parts))).unwrap();
+                    for (k, s) in shard.state_entries() {
+                        assert_eq!(shuffle_partition(k, parts), r, "{k} outside its owner");
+                        union.push((k.clone(), s));
+                    }
+                }
+                union.sort();
+                assert!(
+                    union.windows(2).all(|w| w[0].0 != w[1].0),
+                    "a key lives in two shards at {parts} partitions"
+                );
+                assert_eq!(union, expected, "{parts} partitions");
+            }
         }
-        assert_eq!(rebuilt.finish_all().unwrap(), expected);
-        // Merged partials count as changed this epoch (restore_entry
-        // would not).
-        assert_eq!(rebuilt.take_changed(), vec![row!["a"], row!["b"]]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use structured_streaming::prelude::*;
+use structured_streaming::ss_expr::Expr;
 
 fn ts(seconds: i64) -> Value {
     Value::Timestamp(seconds * 1_000_000)
@@ -45,6 +46,7 @@ fn feed_agg(bus: &MessageBus, n: u64, start: u64) {
 /// and return the sink rows in **delivery order** plus the final state
 /// size.
 fn run_windowed(
+    window: &Expr,
     mode: OutputMode,
     parallelism: usize,
     partitions: usize,
@@ -57,7 +59,7 @@ fn run_windowed(
         .unwrap()
         .with_watermark("time", "5 seconds")
         .unwrap()
-        .group_by(vec![window(col("time"), "10 seconds").unwrap(), col("key")])
+        .group_by(vec![window.clone(), col("key")])
         .agg(vec![count_star(), sum(col("v"))]);
     let sink = MemorySink::new("out");
     let mut query = df
@@ -82,21 +84,30 @@ fn run_windowed(
 
 #[test]
 fn windowed_aggregation_is_byte_identical_across_the_parallelism_matrix() {
-    for mode in [OutputMode::Append, OutputMode::Update, OutputMode::Complete] {
-        let (expected, expected_state) = run_windowed(mode, 1, 1);
-        assert!(!expected.is_empty(), "{mode:?}: reference produced no rows");
-        // Worker count and partition count vary independently; several
-        // combinations deliberately mismatch (skewed task/shard splits).
-        for (p, s) in [(2, 2), (4, 4), (8, 8), (2, 8), (4, 2), (8, 3), (3, 1)] {
-            let (got, state) = run_windowed(mode, p, s);
-            assert_eq!(
-                got, expected,
-                "{mode:?}: sink bytes diverged at parallelism={p} partitions={s}"
+    let windows = [
+        window(col("time"), "10 seconds").unwrap(),
+        window_sliding(col("time"), "10 seconds", "5 seconds").unwrap(),
+    ];
+    for w in &windows {
+        for mode in [OutputMode::Append, OutputMode::Update, OutputMode::Complete] {
+            let (expected, expected_state) = run_windowed(w, mode, 1, 1);
+            assert!(
+                !expected.is_empty(),
+                "{w} {mode:?}: reference produced no rows"
             );
-            assert_eq!(
-                state, expected_state,
-                "{mode:?}: state size diverged at parallelism={p} partitions={s}"
-            );
+            // Worker count and partition count vary independently; several
+            // combinations deliberately mismatch (skewed task/shard splits).
+            for (p, s) in [(2, 2), (4, 4), (8, 8), (2, 8), (4, 2), (8, 3), (3, 1)] {
+                let (got, state) = run_windowed(w, mode, p, s);
+                assert_eq!(
+                    got, expected,
+                    "{w} {mode:?}: sink bytes diverged at parallelism={p} partitions={s}"
+                );
+                assert_eq!(
+                    state, expected_state,
+                    "{w} {mode:?}: state size diverged at parallelism={p} partitions={s}"
+                );
+            }
         }
     }
 }
