@@ -22,8 +22,9 @@
 //!   [`MetricsRegistry`]; the substrate of the observability layer.
 //! * [`trace`] — epoch-scoped trace spans, dumpable as a
 //!   chrome://tracing-compatible JSON event log.
-//! * [`profile`] — the epoch profiler: per-epoch phase-tree wall-time
-//!   attribution with task-skew and shuffle statistics.
+//! * [`profile`] — the epoch profiler: one [`EpochTimer`] per epoch
+//!   attributes its time to a phase tree, with per-operator,
+//!   task-skew and shuffle statistics, on the injected clock.
 //! * [`eventlog`] — a bounded JSONL structured event log of query
 //!   lifecycle events (start/progress/restart/spill/terminate).
 //! * [`fault`] — named fail points (one-shot / every-Nth / probabilistic)
@@ -71,7 +72,9 @@ pub use eventlog::{EventLog, StructuredEvent};
 pub use fault::{FaultMode, FaultRegistry, FaultTrigger};
 pub use isolate::{failure_fingerprint, panic_message, Deadline, ErrorPolicy, FailureTracker};
 pub use metrics::{Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry};
-pub use profile::{EpochProfile, EpochProfiler, PhaseDuration, ShuffleProfile, TaskSkew};
+pub use profile::{
+    EpochProfile, EpochProfiler, EpochTimer, OpDuration, PhaseDuration, ShuffleProfile, TaskSkew,
+};
 pub use retry::{retry, retry_result, RetryOutcome, RetryPolicy};
 pub use rng::XorShift64;
 pub use offsets::{OffsetRange, PartitionOffsets};

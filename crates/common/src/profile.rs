@@ -1,14 +1,16 @@
-//! The epoch profiler: attributes each epoch's wall-clock time to a
-//! fixed phase tree, so an operator can see *where* an epoch's time
-//! went, not just how long it took (§7.4 Monitoring, and the
-//! prerequisite for any adaptive execution decision).
+//! The epoch profiler: attributes each epoch's time to a fixed phase
+//! tree, so an operator can see *where* an epoch's time went, not just
+//! how long it took (§7.4 Monitoring, and the prerequisite for any
+//! adaptive execution decision).
 //!
 //! The phase tree mirrors the epoch protocol:
 //!
 //! ```text
 //! epoch
 //! ├─ admission        offset snapshots, backlog accounting, budgeting
+//! ├─ wal              offset + commit log appends
 //! ├─ source-read      reading the logged offset ranges
+//! ├─ quarantine-probe isolation mode: probing each input row alone
 //! ├─ execute          the incremental plan
 //! │  ├─ map           map-stage scatter (parallel path)
 //! │  ├─ shuffle-write bucketing rows by key into partitions
@@ -16,16 +18,23 @@
 //! │  ├─ reduce        reduce-stage scatter (sharded stateful kernels)
 //! │  └─ merge         deterministic merge/sort of partition outputs
 //! ├─ sink-commit      delivering the epoch's output
-//! ├─ wal              offset + commit log appends
 //! ├─ state-commit     state checkpoint, manifest, retention GC
 //! └─ finalize         rate-controller update, progress assembly
 //! ```
 //!
-//! Top-level phases are disjoint wall-time intervals measured on the
-//! engine thread, so they sum to (almost all of) the epoch's total;
-//! the `execute` children overlap the parent and — for `shuffle-write`,
+//! Top-level phases are disjoint intervals measured on the engine
+//! thread, so they sum to (almost all of) the epoch's total; the
+//! `execute` children overlap the parent and — for `shuffle-write`,
 //! which runs inside map tasks — are CPU time summed across workers,
 //! so children may legitimately exceed their parent on multi-core runs.
+//!
+//! One [`EpochTimer`] times an epoch. It reads the engine's injected
+//! clock (through the engine's [`TraceLog`]), and each phase site makes
+//! one call that records the phase in the [`EpochProfile`] and a trace
+//! span of the same name; operators are recorded once, as
+//! [`OpDuration`]s and `op:` trace events on the same time base. Under
+//! a simulated clock the whole profile is therefore a function of the
+//! seed.
 //!
 //! [`EpochProfiler`] keeps a bounded history of [`EpochProfile`]s per
 //! query, rendered as JSON by the introspection server's
@@ -37,11 +46,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::trace::escape_json;
+use crate::clock::ClockRef;
+use crate::trace::{escape_json, TraceLog};
 
 /// Top-level phases (disjoint engine-thread intervals).
 pub const PHASE_ADMISSION: &str = "admission";
 pub const PHASE_SOURCE_READ: &str = "source-read";
+pub const PHASE_QUARANTINE_PROBE: &str = "quarantine-probe";
 pub const PHASE_EXECUTE: &str = "execute";
 pub const PHASE_SINK_COMMIT: &str = "sink-commit";
 pub const PHASE_WAL: &str = "wal";
@@ -54,6 +65,17 @@ pub const PHASE_SHUFFLE_WRITE: &str = "shuffle-write";
 pub const PHASE_SHUFFLE_READ: &str = "shuffle-read";
 pub const PHASE_REDUCE: &str = "reduce";
 pub const PHASE_MERGE: &str = "merge";
+
+/// The phase `name` nests under in the tree: the data-parallel stages
+/// under `execute`, everything else at the top level.
+fn parent_phase(name: &str) -> Option<&'static str> {
+    match name {
+        PHASE_MAP | PHASE_SHUFFLE_WRITE | PHASE_SHUFFLE_READ | PHASE_REDUCE | PHASE_MERGE => {
+            Some(PHASE_EXECUTE)
+        }
+        _ => None,
+    }
+}
 
 /// Time attributed to one phase of one epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,7 +161,7 @@ impl ShuffleProfile {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochProfile {
     pub epoch: u64,
-    /// The epoch's measured wall-clock total (µs).
+    /// The epoch's measured total (µs, engine clock).
     pub total_us: u64,
     pub phases: Vec<PhaseDuration>,
     /// Skew stats across all tasks the scheduler launched this epoch;
@@ -275,6 +297,128 @@ fn finite(v: f64) -> f64 {
     }
 }
 
+/// Time spent in one operator during one epoch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpDuration {
+    /// The operator's stable label, e.g. `"scan:clicks"` or `"agg-0"`.
+    pub op: String,
+    /// Rows the operator produced this epoch.
+    pub rows_out: u64,
+    /// Inclusive evaluation time (µs): a node's time contains its
+    /// children's, like a flame graph.
+    pub duration_us: u64,
+}
+
+/// Times one epoch: every phase and operator once, on the clock of the
+/// engine's [`TraceLog`]. Reads only monotonic time, never wall time (a
+/// `StepClock` advances on every wall read).
+#[derive(Debug)]
+pub struct EpochTimer {
+    trace: TraceLog,
+    started_us: u64,
+    /// Every scheduled task's duration, summarized at [`finish`].
+    ///
+    /// [`finish`]: EpochTimer::finish
+    task_us: Vec<u64>,
+    /// The profile being built.
+    pub profile: EpochProfile,
+    /// Operators recorded so far, in record order.
+    pub ops: Vec<OpDuration>,
+}
+
+impl EpochTimer {
+    /// Start timing `epoch` now, recording spans into `trace`.
+    pub fn start(epoch: u64, trace: TraceLog) -> EpochTimer {
+        EpochTimer {
+            started_us: trace.now_us(),
+            trace,
+            task_us: Vec::new(),
+            profile: EpochProfile::new(epoch),
+            ops: Vec::new(),
+        }
+    }
+
+    /// A timer that records no trace events, for scratch executions
+    /// (isolation probes).
+    pub fn untraced(epoch: u64, clock: ClockRef) -> EpochTimer {
+        let trace = TraceLog::with_clock(clock);
+        trace.set_enabled(false);
+        EpochTimer::start(epoch, trace)
+    }
+
+    /// Now, in µs on the trace's time base.
+    pub fn now_us(&self) -> u64 {
+        self.trace.now_us()
+    }
+
+    /// Run `f` as phase `name`: its duration goes into the profile
+    /// (accumulating, under the phase's parent) and a `B`/`E` span of
+    /// the same name into the trace. `f` gets the timer back, to time
+    /// operators and child phases inside.
+    pub fn phase<T>(&mut self, name: &str, f: impl FnOnce(&mut EpochTimer) -> T) -> T {
+        let since = self.now_us();
+        self.open(name, since);
+        let out = f(self);
+        self.close(name, since);
+        out
+    }
+
+    /// Attribute everything since the timer started to phase `name`:
+    /// the phase that ran before the epoch was known to need timing.
+    pub fn phase_from_start(&mut self, name: &str) {
+        self.open(name, self.started_us);
+        self.close(name, self.started_us);
+    }
+
+    fn open(&mut self, name: &str, since_us: u64) {
+        self.trace.begin_at(name, since_us, &[]);
+        // Listing the phase when it opens keeps the tree in pre-order:
+        // a parent comes before the children that close ahead of it.
+        self.profile.record(name, parent_phase(name), 0);
+    }
+
+    fn close(&mut self, name: &str, since_us: u64) {
+        let now = self.now_us();
+        self.trace.end_at(name, now);
+        self.profile
+            .record(name, parent_phase(name), now.saturating_sub(since_us));
+    }
+
+    /// Attribute `us` measured elsewhere to phase `name`: time summed
+    /// across tasks, which has no single interval and so no span.
+    pub fn add(&mut self, name: &str, us: u64) {
+        self.profile.record(name, parent_phase(name), us);
+    }
+
+    /// Record operator `op`, which started at `since_us` and emitted
+    /// `rows_out` rows: one [`OpDuration`] and one `op:` complete event.
+    pub fn op(&mut self, op: String, rows_out: u64, since_us: u64) {
+        let duration_us = self.now_us().saturating_sub(since_us);
+        let name = format!("op:{op}");
+        let rows = rows_out.to_string();
+        self.trace
+            .complete(&name, since_us, duration_us, &[("rows_out", &rows)]);
+        self.ops.push(OpDuration {
+            op,
+            rows_out,
+            duration_us,
+        });
+    }
+
+    /// Fold one scatter's per-task durations into the epoch's skew.
+    pub fn tasks(&mut self, durations_us: &[u64]) {
+        self.task_us.extend_from_slice(durations_us);
+    }
+
+    /// Stop the clock: the profile with its total and task skew, and
+    /// the operator records.
+    pub fn finish(mut self) -> (EpochProfile, Vec<OpDuration>) {
+        self.profile.total_us = self.now_us().saturating_sub(self.started_us);
+        self.profile.tasks = TaskSkew::from_durations(&self.task_us);
+        (self.profile, self.ops)
+    }
+}
+
 /// Default number of epoch profiles retained per query.
 pub const DEFAULT_PROFILE_CAPACITY: usize = 64;
 
@@ -407,6 +551,75 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].epoch, 4);
         assert_eq!(prof.last().unwrap().epoch, 5);
+    }
+
+    #[test]
+    fn timer_records_phases_ops_and_tasks_once_on_the_trace_clock() {
+        use crate::clock::StepClock;
+        let clock = StepClock::frozen(0);
+        let trace = TraceLog::with_clock(clock.handle());
+        let mut t = EpochTimer::start(9, trace.clone());
+        clock.set_us(10);
+        t.phase_from_start(PHASE_ADMISSION);
+        t.phase(PHASE_EXECUTE, |t| {
+            let since = t.now_us();
+            t.phase(PHASE_MAP, |_| clock.set_us(25));
+            t.op("agg-0".into(), 3, since);
+            clock.set_us(30);
+        });
+        t.add(PHASE_SHUFFLE_WRITE, 4);
+        t.tasks(&[7, 2]);
+        clock.set_us(42);
+        let (p, ops) = t.finish();
+        assert_eq!(p.epoch, 9);
+        assert_eq!(p.total_us, 42);
+        assert_eq!(p.phase_us(PHASE_ADMISSION), 10);
+        assert_eq!(p.phase_us(PHASE_EXECUTE), 20);
+        assert_eq!(p.phase_us(PHASE_MAP), 15);
+        let parent = |n: &str| p.phases.iter().find(|d| d.name == n).map(|d| d.parent.clone());
+        let execute = Some(Some(PHASE_EXECUTE.to_string()));
+        assert_eq!(parent(PHASE_MAP), execute);
+        assert_eq!(parent(PHASE_SHUFFLE_WRITE), execute);
+        assert_eq!(parent(PHASE_EXECUTE), Some(None));
+        // Pre-order: a parent lists before its children.
+        let order: Vec<&str> = p.phases.iter().map(|d| d.name.as_str()).collect();
+        let expected = [PHASE_ADMISSION, PHASE_EXECUTE, PHASE_MAP, PHASE_SHUFFLE_WRITE];
+        assert_eq!(order, expected);
+        assert_eq!(p.tasks.map(|s| (s.tasks, s.max_us)), Some((2, 7)));
+        let agg = OpDuration {
+            op: "agg-0".into(),
+            rows_out: 3,
+            duration_us: 15,
+        };
+        assert_eq!(ops, vec![agg]);
+        // Spans carry the phase names and the same stamps.
+        let spans: Vec<(String, char, u64)> = trace
+            .events()
+            .into_iter()
+            .map(|e| (e.name, e.ph, e.ts_us))
+            .collect();
+        let ev = |n: &str, ph: char, ts: u64| (n.to_string(), ph, ts);
+        assert_eq!(
+            spans,
+            vec![
+                ev(PHASE_ADMISSION, 'B', 0),
+                ev(PHASE_ADMISSION, 'E', 10),
+                ev(PHASE_EXECUTE, 'B', 10),
+                ev(PHASE_MAP, 'B', 10),
+                ev(PHASE_MAP, 'E', 25),
+                ev("op:agg-0", 'X', 10),
+                ev(PHASE_EXECUTE, 'E', 30),
+            ]
+        );
+    }
+
+    #[test]
+    fn untraced_timer_still_times() {
+        let clock = crate::clock::StepClock::frozen(5);
+        let mut t = EpochTimer::untraced(1, clock.handle());
+        t.phase(PHASE_EXECUTE, |_| clock.set_us(8));
+        assert_eq!(t.profile.phase_us(PHASE_EXECUTE), 3);
+        assert!(t.trace.is_empty());
     }
 
     #[test]

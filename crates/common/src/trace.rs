@@ -1,10 +1,16 @@
 //! Epoch-scoped trace spans, dumpable as a `chrome://tracing` /
 //! Perfetto-compatible JSON event log.
 //!
-//! The engine records **B**egin/**E**nd span pairs and **X** (complete)
-//! events around epoch phases — offset write, incremental execution,
-//! per-operator evaluation, sink commit, checkpoint — so an operator
-//! can load one JSON file and see where an epoch's wall-clock went.
+//! The engine records **B**egin/**E**nd span pairs around epoch phases
+//! and **X** (complete) events for operators. Phase spans carry the
+//! profiler's phase names (`wal`, `source-read`, `execute`,
+//! `sink-commit`, `state-commit`, …) because the same
+//! [`EpochTimer`](crate::profile::EpochTimer) call records both, so an
+//! operator can load one JSON file and see where an epoch's time went.
+//!
+//! Timestamps come from the log's [`Clock`](crate::clock::Clock): an
+//! engine passes its configured clock, so under a simulated clock the
+//! trace is on virtual time like everything else the engine measures.
 //!
 //! [`TraceLog`] is a clonable handle around a shared, bounded event
 //! buffer; recording is a short mutex-protected push, cheap relative to
@@ -15,10 +21,10 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::clock::{system_clock, ClockRef};
 use crate::metrics::Counter;
 
 /// Default maximum number of buffered events before dropping.
@@ -44,7 +50,9 @@ pub struct TraceEvent {
 #[derive(Debug)]
 struct TraceInner {
     enabled: AtomicBool,
-    origin: Instant,
+    clock: ClockRef,
+    /// The clock's monotonic reading when the log was created.
+    origin_us: u64,
     events: Mutex<Vec<TraceEvent>>,
     capacity: usize,
     dropped: AtomicU64,
@@ -74,15 +82,26 @@ fn current_tid() -> u64 {
 }
 
 impl TraceLog {
+    /// A log stamped by the system clock.
     pub fn new() -> TraceLog {
         TraceLog::with_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
     pub fn with_capacity(capacity: usize) -> TraceLog {
+        TraceLog::build(capacity, system_clock())
+    }
+
+    /// A log stamped by `clock` (an engine's configured clock).
+    pub fn with_clock(clock: ClockRef) -> TraceLog {
+        TraceLog::build(DEFAULT_TRACE_CAPACITY, clock)
+    }
+
+    fn build(capacity: usize, clock: ClockRef) -> TraceLog {
         TraceLog {
             inner: Arc::new(TraceInner {
                 enabled: AtomicBool::new(true),
-                origin: Instant::now(),
+                origin_us: clock.monotonic_us(),
+                clock,
                 events: Mutex::new(Vec::new()),
                 capacity,
                 dropped: AtomicU64::new(0),
@@ -111,15 +130,29 @@ impl TraceLog {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Microseconds since this log was created.
+    /// Microseconds since this log was created, on its clock.
     pub fn now_us(&self) -> u64 {
-        self.inner.origin.elapsed().as_micros() as u64
+        self.inner
+            .clock
+            .monotonic_us()
+            .saturating_sub(self.inner.origin_us)
     }
 
-    fn push(&self, ev: TraceEvent) {
+    fn push(&self, name: &str, ph: char, ts_us: u64, dur_us: Option<u64>, args: &[(&str, &str)]) {
         if !self.is_enabled() {
             return;
         }
+        let ev = TraceEvent {
+            name: name.to_string(),
+            ph,
+            ts_us,
+            dur_us,
+            tid: current_tid(),
+            args: args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        };
         let mut events = self.inner.events.lock();
         if events.len() >= self.inner.capacity {
             drop(events);
@@ -132,59 +165,36 @@ impl TraceLog {
         events.push(ev);
     }
 
-    fn args_vec(args: &[(&str, &str)]) -> Vec<(String, String)> {
-        args.iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
     /// Record a span begin (`ph: "B"`).
     pub fn begin(&self, name: &str, args: &[(&str, &str)]) {
-        self.push(TraceEvent {
-            name: name.to_string(),
-            ph: 'B',
-            ts_us: self.now_us(),
-            dur_us: None,
-            tid: current_tid(),
-            args: Self::args_vec(args),
-        });
+        self.begin_at(name, self.now_us(), args);
+    }
+
+    /// Record a span begin stamped `ts_us` (a [`TraceLog::now_us`]
+    /// reading the caller already took).
+    pub fn begin_at(&self, name: &str, ts_us: u64, args: &[(&str, &str)]) {
+        self.push(name, 'B', ts_us, None, args);
     }
 
     /// Record a span end (`ph: "E"`).
     pub fn end(&self, name: &str) {
-        self.push(TraceEvent {
-            name: name.to_string(),
-            ph: 'E',
-            ts_us: self.now_us(),
-            dur_us: None,
-            tid: current_tid(),
-            args: Vec::new(),
-        });
+        self.end_at(name, self.now_us());
+    }
+
+    /// Record a span end stamped `ts_us`.
+    pub fn end_at(&self, name: &str, ts_us: u64) {
+        self.push(name, 'E', ts_us, None, &[]);
     }
 
     /// Record a complete event (`ph: "X"`) that started `ts_us` into
     /// the log and lasted `dur_us`.
     pub fn complete(&self, name: &str, ts_us: u64, dur_us: u64, args: &[(&str, &str)]) {
-        self.push(TraceEvent {
-            name: name.to_string(),
-            ph: 'X',
-            ts_us,
-            dur_us: Some(dur_us),
-            tid: current_tid(),
-            args: Self::args_vec(args),
-        });
+        self.push(name, 'X', ts_us, Some(dur_us), args);
     }
 
     /// Record an instant event (`ph: "i"`).
     pub fn instant(&self, name: &str, args: &[(&str, &str)]) {
-        self.push(TraceEvent {
-            name: name.to_string(),
-            ph: 'i',
-            ts_us: self.now_us(),
-            dur_us: None,
-            tid: current_tid(),
-            args: Self::args_vec(args),
-        });
+        self.push(name, 'i', self.now_us(), None, args);
     }
 
     /// Begin a span and return a guard that ends it on drop.
@@ -387,6 +397,19 @@ mod tests {
         assert_eq!(n, 1);
         assert!(out.contains("\"pid\":7"), "got: {out}");
         assert!(log.to_chrome_json().contains("\"pid\":1"));
+    }
+
+    #[test]
+    fn events_are_stamped_on_the_log_clock() {
+        let clock = crate::clock::StepClock::frozen(1_000);
+        let log = TraceLog::with_clock(clock.handle());
+        log.begin("epoch", &[]);
+        clock.set_us(1_250);
+        log.end("epoch");
+        log.begin_at("wal", 40, &[]);
+        let ts: Vec<u64> = log.events().iter().map(|e| e.ts_us).collect();
+        assert_eq!(ts, vec![0, 250, 40]);
+        assert_eq!(log.now_us(), 250);
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl ContinuousQuery {
         let partitions = bus.num_partitions(topic)?;
 
         let registry = MetricsRegistry::new();
-        let trace = TraceLog::new();
+        let trace = TraceLog::with_clock(config.clock.clone());
         registry.describe(
             "ss_continuous_rows_total",
             "Records processed by the continuous pipeline.",

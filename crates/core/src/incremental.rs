@@ -22,9 +22,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
-use ss_common::{FaultRegistry, RecordBatch, Result, SchemaRef, SsError};
+use ss_common::{EpochTimer, FaultRegistry, RecordBatch, Result, SchemaRef, SsError};
 use ss_exec::aggregate::HashAggregator;
 use ss_exec::executor::Catalog;
 use ss_exec::ops;
@@ -36,73 +35,6 @@ use crate::chain::{ChainEnv, StatelessChain};
 use crate::sjoin::{JoinSide, StreamJoinExec};
 use crate::stateful::execute_map_groups;
 use crate::watermark::WatermarkTracker;
-
-/// One operator's contribution to one epoch (§7.4 monitoring).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpStat {
-    /// Stable operator label (`scan:events`, `agg-0`, `filter#1`, …).
-    pub op: String,
-    /// Rows the operator emitted this epoch.
-    pub rows_out: u64,
-    /// When the operator started, µs relative to the collector's
-    /// creation (the start of the epoch's execution).
-    pub started_rel_us: u64,
-    /// Inclusive evaluation time (µs): contains the children's time,
-    /// like a flame graph.
-    pub duration_us: u64,
-}
-
-/// Collects per-operator stats while an epoch executes. One collector
-/// is created per epoch; operators record in post-order (children
-/// first), which is deterministic for a fixed plan.
-#[derive(Debug)]
-pub struct OpStatsCollector {
-    base: Instant,
-    stats: Vec<OpStat>,
-}
-
-impl Default for OpStatsCollector {
-    fn default() -> OpStatsCollector {
-        OpStatsCollector::new()
-    }
-}
-
-impl OpStatsCollector {
-    pub fn new() -> OpStatsCollector {
-        OpStatsCollector {
-            base: Instant::now(),
-            stats: Vec::new(),
-        }
-    }
-
-    /// Microseconds since the collector (epoch) started.
-    pub fn now_rel_us(&self) -> u64 {
-        self.base.elapsed().as_micros() as u64
-    }
-
-    pub(crate) fn record(
-        &mut self,
-        op: String,
-        rows_out: u64,
-        started_rel_us: u64,
-        duration_us: u64,
-    ) {
-        self.stats.push(OpStat {
-            op,
-            rows_out,
-            started_rel_us,
-            duration_us,
-        });
-    }
-
-    pub fn stats(&self) -> &[OpStat] {
-        &self.stats
-    }
-
-    pub fn take(&mut self) -> Vec<OpStat> {
-        std::mem::take(&mut self.stats)
-    }
-}
 
 /// Everything one epoch's execution can see.
 pub struct EpochContext<'a> {
@@ -124,8 +56,9 @@ pub struct EpochContext<'a> {
     /// Event-time maxima observed while running this epoch; folded into
     /// the [`WatermarkTracker`] at the epoch boundary.
     pub tracker: &'a mut WatermarkTracker,
-    /// Per-operator timing collector for this epoch (§7.4).
-    pub ops: &'a mut OpStatsCollector,
+    /// The epoch's timer: operators record their rows and inclusive
+    /// time into it (§7.4).
+    pub timer: &'a mut EpochTimer,
     /// Fail-point registry: stateless eval arms fire
     /// `exec.record.eval` so the chaos suite can poison evaluation.
     pub faults: &'a FaultRegistry,
@@ -202,15 +135,12 @@ impl IncNode {
 
     /// Execute one epoch, returning this operator's output delta (or,
     /// for Complete-mode aggregates and their parents, the full
-    /// table). Records this operator's rows/duration into `ctx.ops`.
+    /// table). Records this operator's rows/duration into `ctx.timer`.
     pub fn execute_epoch(&mut self, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
-        let started_rel = ctx.ops.now_rel_us();
-        let started = Instant::now();
+        let started = ctx.timer.now_us();
         let out = self.execute_op(ctx)?;
-        let duration = started.elapsed().as_micros() as u64;
-        if let Some(label) = self.op_label(ctx.ops.stats().len()) {
-            ctx.ops
-                .record(label, out.num_rows() as u64, started_rel, duration);
+        if let Some(label) = self.op_label(ctx.timer.ops.len()) {
+            ctx.timer.op(label, out.num_rows() as u64, started);
         }
         Ok(out)
     }
@@ -476,19 +406,13 @@ fn execute_chain(
     chain: &StatelessChain,
     ctx: &mut EpochContext<'_>,
 ) -> Result<RecordBatch> {
-    let started_rel = ctx.ops.now_rel_us();
-    let started = Instant::now();
+    let started = ctx.timer.now_us();
     let mut batch = match (input, chain.scan()) {
         (Some(input), _) => input.execute_epoch(ctx)?,
         (None, Some(scan)) => {
             let batch = scan.bind(ctx.inputs)?;
-            let duration = started.elapsed().as_micros() as u64;
-            ctx.ops.record(
-                format!("scan:{}", scan.name),
-                batch.num_rows() as u64,
-                started_rel,
-                duration,
-            );
+            let rows = batch.num_rows() as u64;
+            ctx.timer.op(format!("scan:{}", scan.name), rows, started);
             batch
         }
         (None, None) => return Err(SsError::Internal("chain without an input".into())),
@@ -497,10 +421,8 @@ fn execute_chain(
     let mut env = ChainEnv::new(ctx.watermark_us, Some(ctx.faults));
     for op in chain.ops() {
         batch = op.apply(batch, &mut env)?;
-        let label = op.label(ctx.ops.stats().len());
-        let duration = started.elapsed().as_micros() as u64;
-        ctx.ops
-            .record(label, batch.num_rows() as u64, started_rel, duration);
+        let label = op.label(ctx.timer.ops.len());
+        ctx.timer.op(label, batch.num_rows() as u64, started);
     }
     for (column, max_seen) in env.maxima {
         ctx.tracker.observe(&column, max_seen);
@@ -664,7 +586,7 @@ fn inc_node(
 mod tests {
     use super::*;
     use ss_common::time::secs;
-    use ss_common::{row, DataType, Field, Row, Schema, Value};
+    use ss_common::{row, DataType, Field, OpDuration, Row, Schema, TraceLog, Value};
     use ss_exec::MemoryCatalog;
     use ss_expr::{col, count_star, lit, window};
     use ss_plan::{JoinType, LogicalPlanBuilder};
@@ -688,7 +610,7 @@ mod tests {
         statics: MemoryCatalog,
         output_mode: OutputMode,
         epoch: u64,
-        last_ops: Vec<OpStat>,
+        last_ops: Vec<OpDuration>,
         faults: FaultRegistry,
     }
 
@@ -714,7 +636,7 @@ mod tests {
                 "events".to_string(),
                 RecordBatch::from_rows(events_schema(), rows).unwrap(),
             );
-            let mut ops = OpStatsCollector::new();
+            let mut timer = EpochTimer::start(self.epoch, TraceLog::new());
             let mut ctx = EpochContext {
                 epoch: self.epoch,
                 inputs: &mut inputs,
@@ -724,11 +646,11 @@ mod tests {
                 processing_time_us: self.epoch as i64 * 1_000_000,
                 output_mode: self.output_mode,
                 tracker: &mut self.tracker,
-                ops: &mut ops,
+                timer: &mut timer,
                 faults: &self.faults,
             };
             let out = self.node.execute_epoch(&mut ctx).unwrap();
-            self.last_ops = ops.take();
+            self.last_ops = timer.finish().1;
             self.tracker.advance();
             out
         }

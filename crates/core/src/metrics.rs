@@ -8,18 +8,7 @@
 use std::collections::VecDeque;
 
 use ss_common::profile::EpochProfile;
-
-/// Time spent in one operator during one epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpDuration {
-    /// The operator's stable label, e.g. `"scan:clicks"` or `"agg-0"`.
-    pub op: String,
-    /// Rows the operator produced this epoch.
-    pub rows_out: u64,
-    /// Inclusive evaluation time (µs): a node's time contains its
-    /// children's, like a flame graph.
-    pub duration_us: u64,
-}
+pub use ss_common::profile::OpDuration;
 
 /// Metrics for one executed epoch.
 #[derive(Debug, Clone, PartialEq)]

@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ss_bus::json::row_to_json;
 use ss_bus::{
@@ -42,15 +42,15 @@ use ss_common::eventlog::{
 };
 use ss_common::isolate::panic_message;
 use ss_common::profile::{
-    PHASE_ADMISSION, PHASE_EXECUTE, PHASE_FINALIZE, PHASE_SINK_COMMIT, PHASE_SOURCE_READ,
-    PHASE_STATE_COMMIT, PHASE_WAL,
+    PHASE_ADMISSION, PHASE_EXECUTE, PHASE_FINALIZE, PHASE_QUARANTINE_PROBE, PHASE_SINK_COMMIT,
+    PHASE_SOURCE_READ, PHASE_STATE_COMMIT, PHASE_WAL,
 };
 use ss_common::clock::{system_clock, ClockRef};
 use ss_common::time::now_us;
 use ss_common::{
-    failure_fingerprint, Counter, Deadline, EpochProfile, EpochProfiler, ErrorPolicy, EventLog,
+    failure_fingerprint, Counter, Deadline, EpochProfiler, EpochTimer, ErrorPolicy, EventLog,
     FaultRegistry, Histogram, MetricsRegistry, PartitionOffsets, RecordBatch, Result, RetryPolicy,
-    SchemaRef, SsError, TraceLog,
+    SchemaRef, SsError, TaskSkew, TraceLog,
 };
 use ss_exec::executor::Catalog;
 use ss_plan::{operator_signatures, plan_fingerprint, LogicalPlan, OperatorSignature, OutputMode};
@@ -62,9 +62,9 @@ use ss_wal::{
 use crate::ha::HaConfig;
 
 use crate::admission::{apportion, PidRateController, RateControllerConfig};
-use crate::incremental::{incrementalize, EpochContext, IncNode, OpStat, OpStatsCollector};
+use crate::incremental::{incrementalize, EpochContext, IncNode};
 use crate::metrics::{OpDuration, ProgressHistory, QueryProgress, StreamingQueryListener};
-use crate::parallel::{repartition_family, state_families, ParallelExec, ParallelRunStats};
+use crate::parallel::{repartition_family, state_families, ParallelExec};
 use crate::upgrade::{self, StateMigration};
 use crate::watermark::WatermarkTracker;
 
@@ -289,18 +289,27 @@ pub enum EpochRun {
     Ran(QueryProgress),
 }
 
-/// What one call to `execute_epoch_offsets` produced (internal).
+/// What one call to `execute_epoch_offsets` produced (internal); its
+/// timings went into the epoch's [`EpochTimer`].
 struct EpochExecution {
+    epoch: u64,
+    in_rows: u64,
     out_rows: u64,
-    ops: Vec<OpStat>,
     sink_commit_us: i64,
-    /// Tasks the parallel executor ran this epoch (0 on the serial
-    /// path).
-    tasks_launched: u64,
-    /// Slowest task's wall-clock duration (µs; 0 on the serial path).
-    max_task_duration_us: u64,
     /// Poison records diverted (or dropped) by isolation mode.
     quarantined: u64,
+}
+
+/// What the trigger loop measured around a live epoch. An epoch the
+/// isolation retry finished has none of it (defaults, plus the last
+/// epoch's duration).
+#[derive(Default)]
+struct TriggerFacts {
+    duration_us: i64,
+    backlog_rows: u64,
+    scheduling_delay_us: u64,
+    rate_limit: Option<f64>,
+    shed_records: u64,
 }
 
 /// A running (or recoverable) microbatch query.
@@ -392,10 +401,10 @@ pub struct MicroBatchExecution {
     quarantined_total: Counter,
     /// `ss_deterministic_failures_total`.
     deterministic_failures: Counter,
-    /// The last in-flight epoch recovery re-ran with output enabled:
-    /// `(epoch, input_rows, execution)`. Consumed by the isolation
-    /// retry path to synthesize the epoch's progress record.
-    last_inflight: Option<(u64, u64, EpochExecution)>,
+    /// The last in-flight epoch recovery re-ran with output enabled,
+    /// with its timer. Consumed by the isolation retry path to build
+    /// the epoch's progress record.
+    last_inflight: Option<(EpochExecution, EpochTimer)>,
     /// True for a warm standby: the engine tails the checkpoint
     /// read-only via [`MicroBatchExecution::standby_catch_up`] and
     /// refuses to run epochs until [`MicroBatchExecution::promote`].
@@ -506,7 +515,7 @@ impl MicroBatchExecution {
         // The registry is created before the WAL/state store so even
         // recovery replays are captured in the metrics.
         let registry = MetricsRegistry::new();
-        let trace = TraceLog::new();
+        let trace = TraceLog::with_clock(config.clock.clone());
         let mut wal = WriteAheadLog::new(backend.clone());
         wal.attach_metrics(&registry);
         wal.set_faults(config.faults.clone());
@@ -847,14 +856,22 @@ impl MicroBatchExecution {
             // recovery re-runs it in-flight — now stripping poison.
             self.enter_isolation(&err);
             self.reset_and_recover()?;
-            if let Some((epoch, in_rows, exec)) = self.last_inflight.take() {
-                let progress = self.synthesize_progress(epoch, in_rows, exec);
+            if let Some((exec, timer)) = self.last_inflight.take() {
+                // Recovery re-ran the epoch with probing; the usual
+                // trigger bookkeeping was skipped.
+                let (profile, ops) = timer.finish();
+                let trigger = TriggerFacts {
+                    duration_us: self.last_epoch_duration_us.max(1),
+                    shed_records: self.shed_records_total(),
+                    ..TriggerFacts::default()
+                };
+                let progress = self.build_progress(&exec, profile.tasks, ops, trigger);
                 self.progress.push(progress.clone());
                 self.events.emit(
                     &self.name,
                     EVENT_PROGRESS,
                     &[
-                        ("epoch", &epoch.to_string()),
+                        ("epoch", &progress.epoch.to_string()),
                         ("rows_in", &progress.num_input_rows.to_string()),
                         ("rows_out", &progress.num_output_rows.to_string()),
                         ("quarantined", &progress.quarantined_records.to_string()),
@@ -873,9 +890,10 @@ impl MicroBatchExecution {
 
     fn run_epoch_inner(&mut self) -> Result<EpochRun> {
         let started = self.config.clock.wall_us();
-        // Wall-clock phase attribution runs on the monotonic clock, so
-        // profiles stay meaningful even under a frozen test clock.
-        let epoch_wall = Instant::now();
+        // Phase attribution runs on the clock's monotonic time, so
+        // profiles stay meaningful even under a frozen test clock. An
+        // idle trigger drops the timer unrecorded.
+        let mut timer = self.timer(self.epoch + 1);
         // In the sequential trigger loop, this epoch starts late by
         // however much the previous one overran the trigger interval.
         let interval_us = self
@@ -1014,10 +1032,9 @@ impl MicroBatchExecution {
         }
 
         let epoch = self.epoch + 1;
-        let mut profile = EpochProfile::new(epoch);
         // Everything since the trigger fired was backlog accounting and
         // budget apportionment.
-        profile.record(PHASE_ADMISSION, None, epoch_wall.elapsed().as_micros() as u64);
+        timer.phase_from_start(PHASE_ADMISSION);
         let epoch_label = epoch.to_string();
         let epoch_span = self
             .trace
@@ -1028,14 +1045,11 @@ impl MicroBatchExecution {
             watermark_us: self.tracker.current(),
             defined_at_us: started,
         };
-        {
-            let _span = self.trace.span("write-offsets", &[]);
-            let t_wal = Instant::now();
+        timer.phase(PHASE_WAL, |_| {
             retried(&self.config.retry, &self.config.clock, &self.config.interrupt, &self.registry, "wal_offsets_append", || {
                 self.wal.write_offsets(&offsets)
-            })?;
-            profile.record(PHASE_WAL, None, t_wal.elapsed().as_micros() as u64);
-        }
+            })
+        })?;
         self.epoch = epoch;
         for (name, r) in &offsets.sources {
             self.positions.insert(name.clone(), r.end.clone());
@@ -1043,37 +1057,40 @@ impl MicroBatchExecution {
         self.config.faults.fire(failpoints::AFTER_OFFSET_WRITE)?;
 
         // Steps 2–3: execute and commit.
-        let exec = self.execute_epoch_offsets(&offsets, true, &mut profile)?;
+        let exec = self.execute_epoch_offsets(&offsets, true, &mut timer)?;
         drop(epoch_span);
 
-        let t_finalize = Instant::now();
-        let finished = self.config.clock.wall_us();
-        // Clamp: with a coarse (or frozen test) clock an epoch can
-        // complete in 0 µs, and the rows/s division must stay finite.
-        let duration = (finished - started).max(1);
-        self.epoch_duration_us.observe(duration as u64);
-        self.last_epoch_duration_us = duration;
-        // Feed the controller this epoch's observations; the rate it
-        // produces shapes the *next* epoch's admission budget.
-        if let Some(rc) = &mut self.rate_controller {
-            rc.update(finished, new_records, duration as u64, scheduling_delay_us);
+        // The controller update and shedding accounting are the epoch's
+        // tail; attribute it so the top-level phases sum to (almost all
+        // of) the measured total.
+        let trigger = timer.phase(PHASE_FINALIZE, |_| {
+            let finished = self.config.clock.wall_us();
+            // Clamp: with a coarse (or frozen test) clock an epoch can
+            // complete in 0 µs, and the rows/s division must stay finite.
+            let duration = (finished - started).max(1);
+            self.epoch_duration_us.observe(duration as u64);
+            self.last_epoch_duration_us = duration;
+            // Feed the controller this epoch's observations; the rate it
+            // produces shapes the *next* epoch's admission budget.
+            if let Some(rc) = &mut self.rate_controller {
+                rc.update(finished, new_records, duration as u64, scheduling_delay_us);
+                self.registry
+                    .gauge("ss_admission_rate_limit", &[])
+                    .set(rc.rate().map_or(-1, |r| r as i64));
+            }
+            let shed_records = self.shed_records_total();
             self.registry
-                .gauge("ss_admission_rate_limit", &[])
-                .set(rc.rate().map_or(-1, |r| r as i64));
-        }
-        let shed_records = self.shed_records_total();
-        self.registry
-            .gauge("ss_bus_shed_records", &[])
-            .set(shed_records as i64);
-        let watermark_lag_us = match self.tracker.current() {
-            i64::MIN => None,
-            wm => self.tracker.max_observed().map(|m| (m - wm).max(0)),
-        };
-        // The controller update, shedding accounting and watermark
-        // arithmetic above are the epoch's tail; attribute it so the
-        // top-level phases sum to (almost all of) the measured total.
-        profile.record(PHASE_FINALIZE, None, t_finalize.elapsed().as_micros() as u64);
-        profile.total_us = epoch_wall.elapsed().as_micros() as u64;
+                .gauge("ss_bus_shed_records", &[])
+                .set(shed_records as i64);
+            TriggerFacts {
+                duration_us: duration,
+                backlog_rows: backlog_after,
+                scheduling_delay_us,
+                rate_limit: self.rate_controller.as_ref().and_then(|rc| rc.rate()),
+                shed_records,
+            }
+        });
+        let (profile, ops) = timer.finish();
         for p in &profile.phases {
             if p.parent.is_none() {
                 self.registry
@@ -1082,39 +1099,8 @@ impl MicroBatchExecution {
             }
         }
         self.profiler.push(profile.clone());
-        let progress = QueryProgress {
-            epoch,
-            num_input_rows: new_records,
-            num_output_rows: exec.out_rows,
-            batch_duration_us: duration,
-            input_rows_per_second: new_records as f64 / (duration as f64 / 1e6),
-            watermark_us: self.tracker.current(),
-            watermark_lag_us,
-            state_rows: self.state_rows(),
-            backlog_rows: backlog_after,
-            operator_durations: exec
-                .ops
-                .iter()
-                .map(|s| OpDuration {
-                    op: s.op.clone(),
-                    rows_out: s.rows_out,
-                    duration_us: s.duration_us,
-                })
-                .collect(),
-            sink_commit_us: exec.sink_commit_us,
-            restarts: self.restarts,
-            scheduling_delay_us,
-            admitted_rows: new_records,
-            rate_limit: self.rate_controller.as_ref().and_then(|rc| rc.rate()),
-            state_bytes: self.store.memory_bytes() as u64,
-            spilled_bytes: self.store.spilled_bytes(),
-            shed_records,
-            tasks_launched: exec.tasks_launched,
-            max_task_duration_us: exec.max_task_duration_us,
-            quarantined_records: exec.quarantined,
-            profile: Some(profile),
-            ha_role: self.ha_role().map(|r| r.as_str().to_string()),
-        };
+        let mut progress = self.build_progress(&exec, profile.tasks, ops, trigger);
+        progress.profile = Some(profile);
         self.progress.push(progress.clone());
         self.events.emit(
             &self.name,
@@ -1123,13 +1109,59 @@ impl MicroBatchExecution {
                 ("epoch", &epoch.to_string()),
                 ("rows_in", &new_records.to_string()),
                 ("rows_out", &progress.num_output_rows.to_string()),
-                ("duration_us", &duration.to_string()),
+                ("duration_us", &progress.batch_duration_us.to_string()),
             ],
         );
         for l in &self.listeners {
             l.on_progress(&progress);
         }
         Ok(EpochRun::Ran(progress))
+    }
+
+    /// A timer for `epoch` on this engine's trace, and so its clock.
+    fn timer(&self, epoch: u64) -> EpochTimer {
+        EpochTimer::start(epoch, self.trace.clone())
+    }
+
+    /// The progress record for an executed epoch (without its profile,
+    /// which only live epochs attach).
+    fn build_progress(
+        &self,
+        exec: &EpochExecution,
+        tasks: Option<TaskSkew>,
+        ops: Vec<OpDuration>,
+        trigger: TriggerFacts,
+    ) -> QueryProgress {
+        let duration = trigger.duration_us;
+        let watermark_lag_us = match self.tracker.current() {
+            i64::MIN => None,
+            wm => self.tracker.max_observed().map(|m| (m - wm).max(0)),
+        };
+        QueryProgress {
+            epoch: exec.epoch,
+            num_input_rows: exec.in_rows,
+            num_output_rows: exec.out_rows,
+            batch_duration_us: duration,
+            input_rows_per_second: exec.in_rows as f64 / (duration as f64 / 1e6),
+            watermark_us: self.tracker.current(),
+            watermark_lag_us,
+            state_rows: self.state_rows(),
+            backlog_rows: trigger.backlog_rows,
+            operator_durations: ops,
+            sink_commit_us: exec.sink_commit_us,
+            restarts: self.restarts,
+            scheduling_delay_us: trigger.scheduling_delay_us,
+            admitted_rows: exec.in_rows,
+            rate_limit: trigger.rate_limit,
+            state_bytes: self.store.memory_bytes() as u64,
+            spilled_bytes: self.store.spilled_bytes(),
+            shed_records: trigger.shed_records,
+            tasks_launched: tasks.map_or(0, |t| t.tasks),
+            max_task_duration_us: tasks.map_or(0, |t| t.max_us),
+            quarantined_records: exec.quarantined,
+            profile: None,
+            ha_role: self.ha_role().map(|r| r.as_str().to_string()),
+        }
     }
 
     /// Drain all currently-available input: run epochs until idle.
@@ -1177,14 +1209,14 @@ impl MicroBatchExecution {
 
     /// Execute the epoch described by `offsets`; commit output when
     /// `with_output` (recovery replays with output disabled). Returns
-    /// the epoch's output row count, per-operator stats and sink
-    /// commit time; phase wall times accumulate into `profile`
-    /// (recovery replays pass a throwaway).
+    /// the epoch's row counts and sink commit time; phases, operators
+    /// and tasks are timed into `timer` (recovery replays pass a
+    /// throwaway).
     fn execute_epoch_offsets(
         &mut self,
         offsets: &EpochOffsets,
         with_output: bool,
-        profile: &mut EpochProfile,
+        timer: &mut EpochTimer,
     ) -> Result<EpochExecution> {
         let trace = self.trace.clone();
         let retry_policy = self.config.retry;
@@ -1200,15 +1232,13 @@ impl MicroBatchExecution {
         // end-to-end latency observed at sink commit.
         let mut ingest_min = i64::MAX;
         let mut ingest_max = i64::MIN;
-        {
-            let _span = trace.span("read-sources", &[]);
-            let t_sources = Instant::now();
+        timer.phase(PHASE_SOURCE_READ, |_| -> Result<()> {
             for (name, range) in &offsets.sources {
                 let source = self.sources.get(name).ok_or_else(|| {
                     SsError::Plan(format!("no source bound for `{name}` during execution"))
                 })?;
                 let projection = projections.get(name).cloned().flatten();
-                let t_read = Instant::now();
+                let t_read = clock.monotonic_us();
                 let batch = retried(&retry_policy, &clock, &interrupt, &registry, "source_read", || {
                     faults.fire(failpoints::SOURCE_READ)?;
                     source.read_all_projected(range, projection.as_deref())
@@ -1219,12 +1249,12 @@ impl MicroBatchExecution {
                 }
                 if let Some(m) = self.source_metrics.get(name) {
                     m.rows_read.add(batch.num_rows() as u64);
-                    m.read_us.observe(t_read.elapsed().as_micros() as u64);
+                    m.read_us.observe(clock.monotonic_us().saturating_sub(t_read));
                 }
                 inputs.insert(name.clone(), batch);
             }
-            profile.record(PHASE_SOURCE_READ, None, t_sources.elapsed().as_micros() as u64);
-        }
+            Ok(())
+        })?;
         self.heartbeat("source-read")?;
 
         // Poison-record isolation. Live epochs in isolation mode probe
@@ -1247,8 +1277,8 @@ impl MicroBatchExecution {
                 }
             }
         } else if self.isolation && self.config.error_policy.isolates() {
-            let _span = trace.span("quarantine-probe", &[]);
-            (quarantined, letters) = self.probe_poison_rows(offsets, &inputs)?;
+            (quarantined, letters) =
+                timer.phase(PHASE_QUARANTINE_PROBE, |_| self.probe_poison_rows(offsets, &inputs))?;
             if let ErrorPolicy::Quarantine { max_per_epoch } = self.config.error_policy {
                 let n: u64 = quarantined.values().map(|v| v.len() as u64).sum();
                 if n > max_per_epoch {
@@ -1269,16 +1299,13 @@ impl MicroBatchExecution {
         // the original epoch's output exactly).
         self.tracker.set_current(offsets.watermark_us);
         let pt = self.config.clock.wall_us();
-        let mut ops = OpStatsCollector::new();
-        let exec_started = trace.now_us();
-        let t_exec = Instant::now();
-        let (out, task_stats) = {
-            let _span = trace.span("execute", &[]);
+        // The execute phase covers the plan run plus its bookkeeping
+        // (health checks, operator metric export).
+        let out = timer.phase(PHASE_EXECUTE, |timer| -> Result<RecordBatch> {
             // Panics inside operators (UDFs, injected faults) fail the
             // epoch restartably instead of killing the query thread;
             // the restart path clears any half-updated in-memory state.
-            let outcome = catch_unwind(AssertUnwindSafe(
-                || -> Result<(RecordBatch, Option<ParallelRunStats>)> {
+            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<RecordBatch> {
                 let mut ctx = EpochContext {
                     epoch: offsets.epoch,
                     inputs: &mut inputs,
@@ -1288,19 +1315,15 @@ impl MicroBatchExecution {
                     processing_time_us: pt,
                     output_mode: self.output_mode,
                     tracker: &mut self.tracker,
-                    ops: &mut ops,
+                    timer: &mut *timer,
                     faults: &faults,
                 };
                 match self.parallel.as_mut() {
-                    Some(p) => {
-                        let (batch, stats) = p.execute_epoch(&mut ctx)?;
-                        Ok((batch, Some(stats)))
-                    }
-                    None => Ok((self.root.execute_epoch(&mut ctx)?, None)),
+                    Some(p) => p.execute_epoch(&mut ctx),
+                    None => self.root.execute_epoch(&mut ctx),
                 }
-            },
-            ));
-            match outcome {
+            }));
+            let out = match outcome {
                 Ok(result) => result?,
                 Err(payload) => {
                     return Err(SsError::Execution(format!(
@@ -1308,39 +1331,23 @@ impl MicroBatchExecution {
                         panic_message(payload.as_ref())
                     )))
                 }
+            };
+            self.heartbeat("execute")?;
+            // Surface overload failures before anything becomes durable:
+            // a spill reload that failed mid-execution (the operator saw
+            // empty state) or an epoch that blew the hard memory limit.
+            self.store.check_health()?;
+            self.store.check_hard_limit()?;
+            for s in &timer.ops {
+                registry
+                    .counter("ss_operator_rows_total", &[("op", &s.op)])
+                    .add(s.rows_out);
+                registry
+                    .histogram("ss_operator_eval_us", &[("op", &s.op)])
+                    .observe(s.duration_us);
             }
-        };
-        self.heartbeat("execute")?;
-        // Surface overload failures before anything becomes durable: a
-        // spill reload that failed mid-execution (the operator saw
-        // empty state) or an epoch that blew the hard memory limit.
-        self.store.check_health()?;
-        self.store.check_hard_limit()?;
-        let ops = ops.take();
-        for s in &ops {
-            self.registry
-                .counter("ss_operator_rows_total", &[("op", &s.op)])
-                .add(s.rows_out);
-            self.registry
-                .histogram("ss_operator_eval_us", &[("op", &s.op)])
-                .observe(s.duration_us);
-            trace.complete(
-                &format!("op:{}", s.op),
-                exec_started + s.started_rel_us,
-                s.duration_us,
-                &[("rows_out", &s.rows_out.to_string())],
-            );
-        }
-        // The execute phase covers the plan run plus its bookkeeping
-        // (health checks, operator metric export).
-        profile.record(PHASE_EXECUTE, None, t_exec.elapsed().as_micros() as u64);
-        if let Some(run) = &task_stats {
-            for (name, us) in &run.phases {
-                profile.record(name, Some(PHASE_EXECUTE), *us);
-            }
-            profile.tasks = run.scatter.skew();
-            profile.shuffle = run.shuffle.clone();
-        }
+            Ok(out)
+        })?;
         let out_rows = out.num_rows() as u64;
 
         let mut sink_commit_us = 0i64;
@@ -1353,24 +1360,21 @@ impl MicroBatchExecution {
                 },
                 OutputMode::Complete => EpochOutput::Complete(out),
             };
-            let t_commit = Instant::now();
-            {
-                let _span = trace.span("sink-commit", &[]);
-                // Sinks commit idempotently per epoch, so a retry after
-                // a partial delivery rewrites the same output in place.
-                // The sink lives outside the checkpoint backend, so the
-                // fencing check is explicit here: a zombie leader is
-                // rejected before any output becomes visible.
+            // Sinks commit idempotently per epoch, so a retry after a
+            // partial delivery rewrites the same output in place. The
+            // sink lives outside the checkpoint backend, so the fencing
+            // check is explicit here: a zombie leader is rejected before
+            // any output becomes visible.
+            timer.phase(PHASE_SINK_COMMIT, |_| {
                 retried(&retry_policy, &clock, &interrupt, &registry, "sink_commit", || {
                     if let Some(ha) = &self.config.ha {
                         ha.lease.check_fenced("sink-commit")?;
                     }
                     faults.fire(failpoints::SINK_COMMIT)?;
                     self.sink.commit_epoch(offsets.epoch, &output)
-                })?;
-            }
-            sink_commit_us = t_commit.elapsed().as_micros() as i64;
-            profile.record(PHASE_SINK_COMMIT, None, sink_commit_us as u64);
+                })
+            })?;
+            sink_commit_us = timer.profile.phase_us(PHASE_SINK_COMMIT) as i64;
             self.sink_metrics
                 .observe_commit(out_rows, sink_commit_us as u64);
             // End-to-end latency: the epoch's output just became
@@ -1383,7 +1387,7 @@ impl MicroBatchExecution {
                 let lat_max = (commit_at - ingest_min).max(0) as u64;
                 self.e2e_latency_us.observe(lat_min);
                 self.e2e_latency_us.observe(lat_max);
-                profile.e2e_latency_us = Some((lat_min, lat_max));
+                timer.profile.e2e_latency_us = Some((lat_min, lat_max));
             }
             faults.fire(failpoints::AFTER_SINK_WRITE)?;
             let n_quarantined: u64 = quarantined.values().map(|v| v.len() as u64).sum();
@@ -1433,11 +1437,11 @@ impl MicroBatchExecution {
                 quarantined: quarantined.clone(),
                 fencing_epoch: self.held_fencing_epoch(),
             };
-            let t_wal = Instant::now();
-            retried(&retry_policy, &clock, &interrupt, &registry, "wal_commits_append", || {
-                self.wal.write_commit(&commit)
+            timer.phase(PHASE_WAL, |_| {
+                retried(&retry_policy, &clock, &interrupt, &registry, "wal_commits_append", || {
+                    self.wal.write_commit(&commit)
+                })
             })?;
-            profile.record(PHASE_WAL, None, t_wal.elapsed().as_micros() as u64);
             faults.fire(failpoints::AFTER_COMMIT_WRITE)?;
         }
 
@@ -1448,55 +1452,51 @@ impl MicroBatchExecution {
         // committed epochs, so checkpoints never run ahead of the
         // commit log.
         if with_output && offsets.epoch.is_multiple_of(self.config.checkpoint_interval) {
-            let _span = trace.span("checkpoint", &[]);
-            let t_state = Instant::now();
-            self.tracker.save(&mut self.store);
-            let store = &mut self.store;
-            retried(&retry_policy, &clock, &interrupt, &registry, "checkpoint_write", || {
-                store.checkpoint(offsets.epoch)
+            timer.phase(PHASE_STATE_COMMIT, |_| -> Result<()> {
+                self.tracker.save(&mut self.store);
+                let store = &mut self.store;
+                retried(&retry_policy, &clock, &interrupt, &registry, "checkpoint_write", || {
+                    store.checkpoint(offsets.epoch)
+                })?;
+                // Right after a checkpoint every operator is clean, so
+                // the soft memory limit can spill the cold ones.
+                let report = self.store.enforce_budget()?;
+                if report.ops_spilled > 0 {
+                    trace.instant(
+                        "overload",
+                        &[
+                            ("phase", "state-spill"),
+                            ("ops_spilled", &report.ops_spilled.to_string()),
+                            ("memory_bytes", &report.memory_bytes.to_string()),
+                            ("spilled_bytes", &report.spilled_bytes.to_string()),
+                        ],
+                    );
+                    self.events.emit(
+                        &self.name,
+                        EVENT_SPILL,
+                        &[
+                            ("epoch", &offsets.epoch.to_string()),
+                            ("ops_spilled", &report.ops_spilled.to_string()),
+                            ("spilled_bytes", &report.spilled_bytes.to_string()),
+                        ],
+                    );
+                }
+                // The manifest rides along with the checkpoint — it
+                // must only ever describe a state layout that exists on
+                // disk, so it is never written ahead of the first
+                // checkpoint of the current plan.
+                retried(&retry_policy, &clock, &interrupt, &registry, "manifest_write", || {
+                    faults.fire(failpoints::MANIFEST_WRITE)?;
+                    self.write_manifest(false)
+                })?;
+                self.maybe_gc(offsets.epoch)
             })?;
-            // Right after a checkpoint every operator is clean, so the
-            // soft memory limit can spill the cold ones.
-            let report = self.store.enforce_budget()?;
-            if report.ops_spilled > 0 {
-                trace.instant(
-                    "overload",
-                    &[
-                        ("phase", "state-spill"),
-                        ("ops_spilled", &report.ops_spilled.to_string()),
-                        ("memory_bytes", &report.memory_bytes.to_string()),
-                        ("spilled_bytes", &report.spilled_bytes.to_string()),
-                    ],
-                );
-                self.events.emit(
-                    &self.name,
-                    EVENT_SPILL,
-                    &[
-                        ("epoch", &offsets.epoch.to_string()),
-                        ("ops_spilled", &report.ops_spilled.to_string()),
-                        ("spilled_bytes", &report.spilled_bytes.to_string()),
-                    ],
-                );
-            }
-            // The manifest rides along with the checkpoint — it must
-            // only ever describe a state layout that exists on disk, so
-            // it is never written ahead of the first checkpoint of the
-            // current plan.
-            retried(&retry_policy, &clock, &interrupt, &registry, "manifest_write", || {
-                faults.fire(failpoints::MANIFEST_WRITE)?;
-                self.write_manifest(false)
-            })?;
-            self.maybe_gc(offsets.epoch)?;
-            profile.record(PHASE_STATE_COMMIT, None, t_state.elapsed().as_micros() as u64);
         }
         Ok(EpochExecution {
+            epoch: offsets.epoch,
+            in_rows: offsets.sources.values().map(|r| r.num_records()).sum(),
             out_rows,
-            ops,
             sink_commit_us,
-            tasks_launched: task_stats.as_ref().map_or(0, |s| s.scatter.tasks),
-            max_task_duration_us: task_stats
-                .as_ref()
-                .map_or(0, |s| s.scatter.max_task_duration_us),
             quarantined: quarantined.values().map(|v| v.len() as u64).sum(),
         })
     }
@@ -1514,6 +1514,7 @@ impl MicroBatchExecution {
     ) -> Result<(QuarantinedOffsets, Vec<DeadLetterRecord>)> {
         let pt = self.config.clock.wall_us();
         let probe_faults = FaultRegistry::new();
+        let mut probe_timer = EpochTimer::untraced(offsets.epoch, self.config.clock.clone());
         let mut quarantined: QuarantinedOffsets = BTreeMap::new();
         let mut letters = Vec::new();
         for (source, range) in &offsets.sources {
@@ -1534,7 +1535,6 @@ impl MicroBatchExecution {
                 let mut probe = incrementalize(&self.optimized_plan, &mut counter)?;
                 let mut store = StateStore::new(Arc::new(MemoryBackend::new()));
                 let mut tracker = WatermarkTracker::new(&self.tracker.clone_config());
-                let mut probe_ops = OpStatsCollector::new();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let mut ctx = EpochContext {
                         epoch: offsets.epoch,
@@ -1545,7 +1545,7 @@ impl MicroBatchExecution {
                         processing_time_us: pt,
                         output_mode: self.output_mode,
                         tracker: &mut tracker,
-                        ops: &mut probe_ops,
+                        timer: &mut probe_timer,
                         faults: &probe_faults,
                     };
                     probe.execute_epoch(&mut ctx)
@@ -1747,9 +1747,9 @@ impl MicroBatchExecution {
                 })?;
                 self.apply_positions(&offsets);
                 self.epoch = e;
-                let in_rows: u64 = offsets.sources.values().map(|r| r.num_records()).sum();
-                let exec = self.execute_epoch_offsets(&offsets, true, &mut EpochProfile::new(e))?;
-                self.last_inflight = Some((e, in_rows, exec));
+                let mut timer = self.timer(e);
+                let exec = self.execute_epoch_offsets(&offsets, true, &mut timer)?;
+                self.last_inflight = Some((exec, timer));
             }
             return Ok(());
         };
@@ -1809,7 +1809,7 @@ impl MicroBatchExecution {
             self.epoch = e;
             // Replays profile into a throwaway: the profiler history
             // describes live epochs, not recovery.
-            self.execute_epoch_offsets(&offsets, false, &mut EpochProfile::new(e))?;
+            self.execute_epoch_offsets(&offsets, false, &mut self.timer(e))?;
         }
         if replay_from > last_committed && chk.is_some() {
             // State came wholly from the checkpoint; synchronize the
@@ -1829,9 +1829,9 @@ impl MicroBatchExecution {
             })?;
             self.apply_positions(&offsets);
             self.epoch = e;
-            let in_rows: u64 = offsets.sources.values().map(|r| r.num_records()).sum();
-            let exec = self.execute_epoch_offsets(&offsets, true, &mut EpochProfile::new(e))?;
-            self.last_inflight = Some((e, in_rows, exec));
+            let mut timer = self.timer(e);
+            let exec = self.execute_epoch_offsets(&offsets, true, &mut timer)?;
+            self.last_inflight = Some((exec, timer));
         }
         Ok(())
     }
@@ -2057,7 +2057,7 @@ impl MicroBatchExecution {
             // Execute before advancing positions so a failed replay
             // (e.g. a torn commit record the leader left behind)
             // leaves the standby consistent at the previous epoch.
-            self.execute_epoch_offsets(&offsets, false, &mut EpochProfile::new(e))?;
+            self.execute_epoch_offsets(&offsets, false, &mut self.timer(e))?;
             self.apply_positions(&offsets);
             self.epoch = e;
             applied += 1;
@@ -2107,9 +2107,9 @@ impl MicroBatchExecution {
             })?;
             self.apply_positions(&offsets);
             self.epoch = e;
-            let in_rows: u64 = offsets.sources.values().map(|r| r.num_records()).sum();
-            let exec = self.execute_epoch_offsets(&offsets, true, &mut EpochProfile::new(e))?;
-            self.last_inflight = Some((e, in_rows, exec));
+            let mut timer = self.timer(e);
+            let exec = self.execute_epoch_offsets(&offsets, true, &mut timer)?;
+            self.last_inflight = Some((exec, timer));
         }
         self.events.emit(
             &self.name,
@@ -2178,58 +2178,10 @@ impl MicroBatchExecution {
         );
     }
 
-    /// Progress record for an epoch that completed via the isolation
-    /// retry path (recovery re-ran it with probing; the usual trigger
-    /// bookkeeping was skipped).
-    fn synthesize_progress(
-        &mut self,
-        epoch: u64,
-        in_rows: u64,
-        exec: EpochExecution,
-    ) -> QueryProgress {
-        let duration = self.last_epoch_duration_us.max(1);
-        let watermark_lag_us = match self.tracker.current() {
-            i64::MIN => None,
-            wm => self.tracker.max_observed().map(|m| (m - wm).max(0)),
-        };
-        QueryProgress {
-            epoch,
-            num_input_rows: in_rows,
-            num_output_rows: exec.out_rows,
-            batch_duration_us: duration,
-            input_rows_per_second: in_rows as f64 / (duration as f64 / 1e6),
-            watermark_us: self.tracker.current(),
-            watermark_lag_us,
-            state_rows: self.state_rows(),
-            backlog_rows: 0,
-            operator_durations: exec
-                .ops
-                .iter()
-                .map(|s| OpDuration {
-                    op: s.op.clone(),
-                    rows_out: s.rows_out,
-                    duration_us: s.duration_us,
-                })
-                .collect(),
-            sink_commit_us: exec.sink_commit_us,
-            restarts: self.restarts,
-            scheduling_delay_us: 0,
-            admitted_rows: in_rows,
-            rate_limit: None,
-            state_bytes: self.store.memory_bytes() as u64,
-            spilled_bytes: self.store.spilled_bytes(),
-            shed_records: self.shed_records_total(),
-            tasks_launched: exec.tasks_launched,
-            max_task_duration_us: exec.max_task_duration_us,
-            quarantined_records: exec.quarantined,
-            profile: None,
-            ha_role: self.ha_role().map(|r| r.as_str().to_string()),
-        }
-    }
-
     fn reset_and_recover(&mut self) -> Result<()> {
         self.store.clear_memory();
-        self.tracker = WatermarkTracker::new(&current_watermarks(&self.tracker));
+        // Observations are dropped and recomputed during replay.
+        self.tracker = WatermarkTracker::new(&self.tracker.clone_config());
         self.epoch = 0;
         self.positions.clear();
         self.root.restore_state(&mut self.store)?; // clears operators
@@ -2238,15 +2190,6 @@ impl MicroBatchExecution {
         }
         self.recover()
     }
-}
-
-/// Rebuild the tracker's (column, delay) config; observations are
-/// dropped on rollback and recomputed during replay.
-fn current_watermarks(t: &WatermarkTracker) -> Vec<(String, i64)> {
-    // WatermarkTracker doesn't expose its delays publicly; rebuilding
-    // from scratch with the same config requires keeping it around.
-    // `clone_config` below provides it.
-    t.clone_config()
 }
 
 /// True for failures a single record can deterministically cause:

@@ -47,26 +47,27 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ss_common::clock::ClockRef;
 use ss_common::profile::{
     ShuffleProfile, PHASE_MAP, PHASE_MERGE, PHASE_REDUCE, PHASE_SHUFFLE_READ, PHASE_SHUFFLE_WRITE,
 };
 use ss_common::{
-    shuffle_partition, Column, FaultRegistry, MetricsRegistry, RecordBatch, Result, RetryPolicy,
-    Row, SsError, TraceLog, Value,
+    shuffle_partition, Column, EpochTimer, FaultRegistry, MetricsRegistry, RecordBatch, Result,
+    RetryPolicy, Row, SsError, TraceLog, Value,
 };
 use ss_exec::aggregate::HashAggregator;
 use ss_exec::ops;
 use ss_plan::SortKey;
-use ss_sched::{failpoints, ScatterStats, WorkerPool};
+use ss_sched::{failpoints, WorkerPool};
 use ss_state::{OpState, StateEntry, StateStore};
 
 use crate::chain::{ChainEnv, StatelessChain};
 use crate::incremental::{aggregate_epoch, restore_aggregate, EpochContext, IncNode};
 use crate::microbatch::retried;
 use crate::sjoin::{KeyedDeltaRow, StreamJoinExec, TaggedRow};
+use crate::watermark::WatermarkTracker;
 
 /// A post-aggregate serial suffix (Complete-mode `Sort`/`Limit`),
 /// applied to the merged output on the engine thread.
@@ -99,24 +100,6 @@ enum ParallelPlan {
         right_chain: Arc<StatelessChain>,
         exec: StreamJoinExec,
     },
-}
-
-/// Profiling facts from one parallel epoch, alongside the output
-/// batch: task-level scatter stats, the `execute`-child phase
-/// durations, and the shuffle exchange's per-partition volume.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelRunStats {
-    /// Aggregate task stats across the epoch's scatters.
-    pub scatter: ScatterStats,
-    /// `(phase, µs)` for the children of the `execute` phase:
-    /// map / shuffle-write / shuffle-read / reduce / merge. All are
-    /// engine-thread wall time except shuffle-write, which is CPU time
-    /// summed across map tasks (it runs inside them) and may therefore
-    /// exceed sibling wall durations on multi-core runs.
-    pub phases: Vec<(&'static str, u64)>,
-    /// Per-partition shuffle rows/bytes and the key-skew ratio; `None`
-    /// when the plan has no shuffle (stateless map plans).
-    pub shuffle: Option<ShuffleProfile>,
 }
 
 /// The data-parallel epoch executor: a worker pool plus the compiled
@@ -185,18 +168,12 @@ impl ParallelExec {
         self.partitions
     }
 
-    /// Execute one epoch. Byte-identical to
-    /// `IncNode::execute_epoch` on the same inputs and state.
-    pub fn execute_epoch(
-        &mut self,
-        ctx: &mut EpochContext<'_>,
-    ) -> Result<(RecordBatch, ParallelRunStats)> {
-        let mut run = ParallelRunStats::default();
-        let mut stats = ScatterStats::default();
-        let mut phases: Vec<(&'static str, u64)> = Vec::new();
-        let mut shuffle_prof: Option<ShuffleProfile> = None;
-        let started_rel = ctx.ops.now_rel_us();
-        let started = Instant::now();
+    /// Execute one epoch, timing its stages (map, shuffle, reduce,
+    /// merge), task skew and shuffle volume into `ctx.timer`.
+    /// Byte-identical to `IncNode::execute_epoch` on the same inputs
+    /// and state.
+    pub fn execute_epoch(&mut self, ctx: &mut EpochContext<'_>) -> Result<RecordBatch> {
+        let started = ctx.timer.now_us();
         // Disjoint borrows: the match below holds `&mut self.plan`, so
         // everything else the arms need is lifted out first.
         let pool = &self.pool;
@@ -213,20 +190,17 @@ impl ParallelExec {
             ParallelPlan::Map { chain } => {
                 let input = bind_input(chain, ctx)?;
                 let chunks = split_chunks(input, partitions);
-                let t_map = Instant::now();
-                let results =
-                    scatter_map(pool, &env, chunks, chain, ctx.watermark_us, &mut stats)?;
-                phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
-                let t_merge = Instant::now();
-                let mut batches = Vec::with_capacity(results.len());
-                let mut maxima = Vec::new();
-                for (b, m) in results {
-                    batches.push(b);
-                    maxima.extend(m);
-                }
-                observe_maxima(ctx, maxima);
-                let out = RecordBatch::concat(&batches)?;
-                phases.push((PHASE_MERGE, t_merge.elapsed().as_micros() as u64));
+                let results = scatter_map(pool, &env, chunks, chain, ctx.watermark_us, ctx.timer)?;
+                let out = ctx.timer.phase(PHASE_MERGE, |_| {
+                    let mut batches = Vec::with_capacity(results.len());
+                    let mut maxima = Vec::new();
+                    for (b, m) in results {
+                        batches.push(b);
+                        maxima.extend(m);
+                    }
+                    observe_maxima(ctx.tracker, maxima);
+                    RecordBatch::concat(&batches)
+                })?;
                 (out, "parallel-map".to_string())
             }
             ParallelPlan::Aggregate {
@@ -263,47 +237,48 @@ impl ParallelExec {
                         retried(&retry, &clock, &interrupt, &registry, "sched_shuffle_write", || {
                             faults.fire(failpoints::SHUFFLE_WRITE)
                         })?;
-                        let t_write = Instant::now();
+                        let t_write = clock.monotonic_us();
                         let batches = agg
                             .partition_rows(&out, parts)?
                             .iter()
                             .map(|rows| out.take(rows))
                             .collect::<Result<Vec<_>>>()?;
-                        let write_us = t_write.elapsed().as_micros() as u64;
+                        let write_us = clock.monotonic_us().saturating_sub(t_write);
                         Ok((batches, maxima, write_us))
                     }));
                 }
-                let t_map = Instant::now();
-                let map_out = pool.scatter("map", tasks)?;
-                phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
-                stats.absorb(map_out.stats);
+                let map_out = scatter(pool, ctx.timer, PHASE_MAP, tasks)?;
+                // Routing ran inside the map tasks: CPU time summed
+                // across them.
+                let write_us = map_out.iter().map(|(_, _, us)| us).sum();
+                ctx.timer.add(PHASE_SHUFFLE_WRITE, write_us);
 
                 // Shuffle: concatenate each partition's batches in chunk
                 // order, so every key sees its rows in the original
                 // global arrival order.
-                let t_read = Instant::now();
-                let mut routed: Vec<Vec<RecordBatch>> = (0..parts).map(|_| Vec::new()).collect();
-                let mut maxima = Vec::new();
-                let mut write_us_total = 0u64;
-                for (batches, m, write_us) in map_out.results {
-                    for (r, b) in batches.into_iter().enumerate() {
-                        routed[r].push(b);
+                let (shuffled, prof) = ctx.timer.phase(PHASE_SHUFFLE_READ, |_| -> Result<_> {
+                    let mut routed: Vec<Vec<RecordBatch>> =
+                        (0..parts).map(|_| Vec::new()).collect();
+                    let mut maxima = Vec::new();
+                    for (batches, m, _) in map_out {
+                        for (r, b) in batches.into_iter().enumerate() {
+                            routed[r].push(b);
+                        }
+                        maxima.extend(m);
                     }
-                    maxima.extend(m);
-                    write_us_total += write_us;
-                }
-                observe_maxima(ctx, maxima);
-                let shuffled: Vec<RecordBatch> = routed
-                    .iter()
-                    .map(|b| RecordBatch::concat(b))
-                    .collect::<Result<_>>()?;
-                let part_rows: Vec<u64> = shuffled.iter().map(|b| b.num_rows() as u64).collect();
-                let part_bytes: Vec<u64> = shuffled.iter().map(approx_batch_bytes).collect();
-                phases.push((PHASE_SHUFFLE_WRITE, write_us_total));
-                phases.push((PHASE_SHUFFLE_READ, t_read.elapsed().as_micros() as u64));
-                let prof = ShuffleProfile::new(part_rows, part_bytes);
+                    observe_maxima(ctx.tracker, maxima);
+                    let shuffled: Vec<RecordBatch> = routed
+                        .iter()
+                        .map(|b| RecordBatch::concat(b))
+                        .collect::<Result<_>>()?;
+                    let prof = ShuffleProfile::new(
+                        shuffled.iter().map(|b| b.num_rows() as u64).collect(),
+                        shuffled.iter().map(approx_batch_bytes).collect(),
+                    );
+                    Ok((shuffled, prof))
+                })?;
                 record_shuffle(&registry, op_id.as_str(), &prof);
-                shuffle_prof = Some(prof);
+                ctx.timer.profile.shuffle = Some(prof);
 
                 // Reduce stage: every partition runs the serial
                 // aggregate epoch over its shard and state shard.
@@ -334,32 +309,31 @@ impl ParallelExec {
                         Ok((shard, op, out.to_rows()))
                     }));
                 }
-                let t_reduce = Instant::now();
-                let red = pool.scatter("reduce", tasks)?;
-                phases.push((PHASE_REDUCE, t_reduce.elapsed().as_micros() as u64));
-                stats.absorb(red.stats);
+                let red = scatter(pool, ctx.timer, PHASE_REDUCE, tasks)?;
 
-                let t_merge = Instant::now();
-                let mut rows: Vec<Row> = Vec::new();
-                for (r, (shard, op, shard_rows)) in red.results.into_iter().enumerate() {
-                    ctx.store.put_op(&shard_ns(op_id, r, parts, ""), op);
-                    shards.push(shard);
-                    rows.extend(shard_rows);
-                }
-                // Keys never span shards and every shard emits
-                // key-sorted rows (the window-end column is a function
-                // of window-start, so whole-row order == key order):
-                // a global sort reproduces the serial emission order.
-                rows.sort();
-                let mut batch =
-                    RecordBatch::from_rows(template.output_schema().clone(), &rows)?;
-                for s in suffix.iter() {
-                    batch = match s {
-                        SuffixOp::Sort(keys) => ops::sort_batch(&batch, keys)?,
-                        SuffixOp::Limit(n) => ops::limit_batch(&batch, *n)?,
-                    };
-                }
-                phases.push((PHASE_MERGE, t_merge.elapsed().as_micros() as u64));
+                let batch = ctx.timer.phase(PHASE_MERGE, |_| -> Result<RecordBatch> {
+                    let mut rows: Vec<Row> = Vec::new();
+                    for (r, (shard, op, shard_rows)) in red.into_iter().enumerate() {
+                        ctx.store.put_op(&shard_ns(op_id, r, parts, ""), op);
+                        shards.push(shard);
+                        rows.extend(shard_rows);
+                    }
+                    // Keys never span shards and every shard emits
+                    // key-sorted rows (the window-end column is a
+                    // function of window-start, so whole-row order ==
+                    // key order): a global sort reproduces the serial
+                    // emission order.
+                    rows.sort();
+                    let mut batch =
+                        RecordBatch::from_rows(template.output_schema().clone(), &rows)?;
+                    for s in suffix.iter() {
+                        batch = match s {
+                            SuffixOp::Sort(keys) => ops::sort_batch(&batch, keys)?,
+                            SuffixOp::Limit(n) => ops::limit_batch(&batch, *n)?,
+                        };
+                    }
+                    Ok(batch)
+                })?;
                 (batch, op_id.clone())
             }
             ParallelPlan::Join {
@@ -406,10 +380,7 @@ impl ParallelExec {
                         Ok((keyed, maxima))
                     }));
                 }
-                let t_map = Instant::now();
-                let map_out = pool.scatter("map", tasks)?;
-                phases.push((PHASE_MAP, t_map.elapsed().as_micros() as u64));
-                stats.absorb(map_out.stats);
+                let map_out = scatter(pool, ctx.timer, PHASE_MAP, tasks)?;
 
                 // Shuffle: restore global arrival indices (chunk order)
                 // then bucket by join key. NULL-keyed rows shuffle on
@@ -417,46 +388,46 @@ impl ParallelExec {
                 // owns their buffering and outer-row eviction. The
                 // bucketing runs on the engine thread here (keys were
                 // evaluated in the map tasks), so it's all shuffle-write.
-                let t_write = Instant::now();
-                let null_key = Row::new(vec![Value::Null]);
-                let mut lbuckets: Vec<Vec<KeyedDeltaRow>> =
-                    (0..parts).map(|_| Vec::new()).collect();
-                let mut rbuckets: Vec<Vec<KeyedDeltaRow>> =
-                    (0..parts).map(|_| Vec::new()).collect();
-                let mut maxima = Vec::new();
-                let (mut loff, mut roff) = (0u64, 0u64);
-                for (i, (keyed, m)) in map_out.results.into_iter().enumerate() {
-                    maxima.extend(m);
-                    let is_left = i < n_left;
-                    let offset = if is_left { &mut loff } else { &mut roff };
-                    let buckets = if is_left { &mut lbuckets } else { &mut rbuckets };
-                    let n = keyed.len() as u64;
-                    for (j, (_, key, row)) in keyed.into_iter().enumerate() {
-                        let r = shuffle_partition(key.as_ref().unwrap_or(&null_key), parts);
-                        buckets[r].push((*offset + j as u64, key, row));
+                let (lbuckets, rbuckets, prof) = ctx.timer.phase(PHASE_SHUFFLE_WRITE, |_| {
+                    let null_key = Row::new(vec![Value::Null]);
+                    let mut lbuckets: Vec<Vec<KeyedDeltaRow>> =
+                        (0..parts).map(|_| Vec::new()).collect();
+                    let mut rbuckets: Vec<Vec<KeyedDeltaRow>> =
+                        (0..parts).map(|_| Vec::new()).collect();
+                    let mut maxima = Vec::new();
+                    let (mut loff, mut roff) = (0u64, 0u64);
+                    for (i, (keyed, m)) in map_out.into_iter().enumerate() {
+                        maxima.extend(m);
+                        let is_left = i < n_left;
+                        let offset = if is_left { &mut loff } else { &mut roff };
+                        let buckets = if is_left { &mut lbuckets } else { &mut rbuckets };
+                        let n = keyed.len() as u64;
+                        for (j, (_, key, row)) in keyed.into_iter().enumerate() {
+                            let r = shuffle_partition(key.as_ref().unwrap_or(&null_key), parts);
+                            buckets[r].push((*offset + j as u64, key, row));
+                        }
+                        *offset += n;
                     }
-                    *offset += n;
-                }
-                observe_maxima(ctx, maxima);
-                let part_rows: Vec<u64> = lbuckets
-                    .iter()
-                    .zip(&rbuckets)
-                    .map(|(l, r)| (l.len() + r.len()) as u64)
-                    .collect();
-                let part_bytes: Vec<u64> = lbuckets
-                    .iter()
-                    .zip(&rbuckets)
-                    .map(|(l, r)| {
-                        l.iter()
-                            .chain(r.iter())
-                            .map(|(_, _, row)| row.approx_bytes() as u64)
-                            .sum()
-                    })
-                    .collect();
-                phases.push((PHASE_SHUFFLE_WRITE, t_write.elapsed().as_micros() as u64));
-                let prof = ShuffleProfile::new(part_rows, part_bytes);
+                    observe_maxima(ctx.tracker, maxima);
+                    let part_rows: Vec<u64> = lbuckets
+                        .iter()
+                        .zip(&rbuckets)
+                        .map(|(l, r)| (l.len() + r.len()) as u64)
+                        .collect();
+                    let part_bytes: Vec<u64> = lbuckets
+                        .iter()
+                        .zip(&rbuckets)
+                        .map(|(l, r)| {
+                            l.iter()
+                                .chain(r.iter())
+                                .map(|(_, _, row)| row.approx_bytes() as u64)
+                                .sum()
+                        })
+                        .collect();
+                    (lbuckets, rbuckets, ShuffleProfile::new(part_rows, part_bytes))
+                });
                 record_shuffle(&registry, exec.op_id.as_str(), &prof);
-                shuffle_prof = Some(prof);
+                ctx.timer.profile.shuffle = Some(prof);
 
                 // Reduce stage: each partition probes/buffers/evicts
                 // against its own `-left`/`-right` state shards.
@@ -493,38 +464,27 @@ impl ParallelExec {
                         Ok((left_op, right_op, tagged))
                     }));
                 }
-                let t_reduce = Instant::now();
-                let red = pool.scatter("reduce", tasks)?;
-                phases.push((PHASE_REDUCE, t_reduce.elapsed().as_micros() as u64));
-                stats.absorb(red.stats);
+                let red = scatter(pool, ctx.timer, PHASE_REDUCE, tasks)?;
 
-                let t_merge = Instant::now();
-                let mut tagged: Vec<TaggedRow> = Vec::new();
-                for (r, (left_op, right_op, t)) in red.results.into_iter().enumerate() {
-                    ctx.store
-                        .put_op(&shard_ns(&exec.op_id, r, parts, "-left"), left_op);
-                    ctx.store
-                        .put_op(&shard_ns(&exec.op_id, r, parts, "-right"), right_op);
-                    tagged.extend(t);
-                }
-                // `(phase, idx, key, seq)` is the serial emission order.
-                tagged.sort();
-                let rows: Vec<Row> = tagged.into_iter().map(|t| t.row).collect();
-                let batch = RecordBatch::from_rows(exec.output_schema.clone(), &rows)?;
-                phases.push((PHASE_MERGE, t_merge.elapsed().as_micros() as u64));
+                let batch = ctx.timer.phase(PHASE_MERGE, |_| {
+                    let mut tagged: Vec<TaggedRow> = Vec::new();
+                    for (r, (left_op, right_op, t)) in red.into_iter().enumerate() {
+                        ctx.store
+                            .put_op(&shard_ns(&exec.op_id, r, parts, "-left"), left_op);
+                        ctx.store
+                            .put_op(&shard_ns(&exec.op_id, r, parts, "-right"), right_op);
+                        tagged.extend(t);
+                    }
+                    // `(phase, idx, key, seq)` is the serial emission order.
+                    tagged.sort();
+                    let rows: Vec<Row> = tagged.into_iter().map(|t| t.row).collect();
+                    RecordBatch::from_rows(exec.output_schema.clone(), &rows)
+                })?;
                 (batch, exec.op_id.clone())
             }
         };
-        ctx.ops.record(
-            label,
-            out.num_rows() as u64,
-            started_rel,
-            started.elapsed().as_micros() as u64,
-        );
-        run.scatter = stats;
-        run.phases = phases;
-        run.shuffle = shuffle_prof;
-        Ok((out, run))
+        ctx.timer.op(label, out.num_rows() as u64, started);
+        Ok(out)
     }
 
     /// Rebuild shard state from the (restored, already repartitioned)
@@ -587,6 +547,19 @@ struct TaskEnv {
     registry: MetricsRegistry,
 }
 
+/// Run one stage's tasks as phase `stage` (`map` or `reduce`), folding
+/// their durations into the epoch's task skew.
+fn scatter<R: Send + 'static>(
+    pool: &WorkerPool,
+    timer: &mut EpochTimer,
+    stage: &str,
+    tasks: Vec<MapTask<R>>,
+) -> Result<Vec<R>> {
+    let out = timer.phase(stage, |_| pool.scatter(stage, tasks))?;
+    timer.tasks(&out.task_us);
+    Ok(out.results)
+}
+
 /// Scatter a stateless map stage (used by the `Map` plan).
 fn scatter_map(
     pool: &WorkerPool,
@@ -594,7 +567,7 @@ fn scatter_map(
     chunks: Vec<RecordBatch>,
     chain: &Arc<StatelessChain>,
     watermark_us: i64,
-    stats: &mut ScatterStats,
+    timer: &mut EpochTimer,
 ) -> Result<Vec<ChainOut>> {
     let mut tasks: Vec<MapTask<ChainOut>> = Vec::with_capacity(chunks.len());
     for chunk in chunks {
@@ -614,9 +587,7 @@ fn scatter_map(
             apply_chunk(&chain, chunk, watermark_us, &faults)
         }));
     }
-    let out = pool.scatter("map", tasks)?;
-    stats.absorb(out.stats);
-    Ok(out.results)
+    scatter(pool, timer, PHASE_MAP, tasks)
 }
 
 type MapTask<R> = Box<dyn FnOnce() -> Result<R> + Send>;
@@ -624,7 +595,8 @@ type MapTask<R> = Box<dyn FnOnce() -> Result<R> + Send>;
 /// per-column event-time maxima observed by watermark ops.
 type ChainOut = (RecordBatch, Vec<(String, i64)>);
 /// An aggregate map task's output: one batch per reduce partition,
-/// watermark maxima, and the in-task shuffle-write routing time (µs).
+/// watermark maxima, and the in-task shuffle-write routing time (µs,
+/// engine clock).
 type AggMapOut = (Vec<RecordBatch>, Vec<(String, i64)>, u64);
 type AggReduceOut = (HashAggregator, OpState, Vec<Row>);
 type JoinMapOut = (Vec<KeyedDeltaRow>, Vec<(String, i64)>);
@@ -677,17 +649,17 @@ fn bind_input(chain: &StatelessChain, ctx: &mut EpochContext<'_>) -> Result<Reco
         .scan()
         .ok_or_else(|| SsError::Internal("map stage without a scan".into()))?;
     chain.prime(ctx.statics)?;
+    let started = ctx.timer.now_us();
     let input = scan.bind(ctx.inputs)?;
-    let rel = ctx.ops.now_rel_us();
-    ctx.ops
-        .record(format!("scan:{}", scan.name), input.num_rows() as u64, rel, 0);
+    let rows = input.num_rows() as u64;
+    ctx.timer.op(format!("scan:{}", scan.name), rows, started);
     Ok(input)
 }
 
 /// Merge per-chunk watermark observations (max per column) and fold
 /// them into the tracker, exactly once per column as serial execution
 /// would.
-fn observe_maxima(ctx: &mut EpochContext<'_>, maxima: Vec<(String, i64)>) {
+fn observe_maxima(tracker: &mut WatermarkTracker, maxima: Vec<(String, i64)>) {
     let mut merged: BTreeMap<String, i64> = BTreeMap::new();
     for (column, v) in maxima {
         let e = merged.entry(column).or_insert(i64::MIN);
@@ -695,7 +667,7 @@ fn observe_maxima(ctx: &mut EpochContext<'_>, maxima: Vec<(String, i64)>) {
     }
     for (column, v) in merged {
         if v > i64::MIN {
-            ctx.tracker.observe(&column, v);
+            tracker.observe(&column, v);
         }
     }
 }

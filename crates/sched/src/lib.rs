@@ -31,11 +31,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ss_common::clock::{system_clock, ClockRef};
 use ss_common::metrics::MetricsRegistry;
-use ss_common::profile::TaskSkew;
 use ss_common::trace::TraceLog;
 use ss_common::{Result, SsError};
 
@@ -63,43 +62,13 @@ const GATHER_POLL: Duration = Duration::from_millis(2);
 /// result delivered back through a channel.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// Aggregate timing facts from one [`WorkerPool::scatter`] call,
-/// surfaced on `QueryProgress` when running parallel.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScatterStats {
-    /// Number of tasks launched.
-    pub tasks: u64,
-    /// Wall-clock duration of the slowest task, in microseconds.
-    pub max_task_duration_us: u64,
-    /// Longest time any task sat queued before a worker picked it up.
-    pub max_queue_wait_us: u64,
-    /// Raw wall-clock duration of every task, in completion order. The
-    /// profiler summarizes these into min/p50/p99/max skew stats.
-    pub task_durations_us: Vec<u64>,
-}
-
-impl ScatterStats {
-    /// Fold another scatter's stats into this one (an epoch runs
-    /// several stages; progress reports the epoch-wide totals).
-    pub fn absorb(&mut self, other: ScatterStats) {
-        self.tasks += other.tasks;
-        self.max_task_duration_us = self.max_task_duration_us.max(other.max_task_duration_us);
-        self.max_queue_wait_us = self.max_queue_wait_us.max(other.max_queue_wait_us);
-        self.task_durations_us.extend(other.task_durations_us);
-    }
-
-    /// Per-task skew summary (min/p50/p99/max); `None` when no tasks
-    /// ran.
-    pub fn skew(&self) -> Option<TaskSkew> {
-        TaskSkew::from_durations(&self.task_durations_us)
-    }
-}
-
 /// Results of a scatter: per-task outputs in task-index order.
 #[derive(Debug)]
 pub struct ScatterResult<R> {
     pub results: Vec<R>,
-    pub stats: ScatterStats,
+    /// Every task's duration (µs on the pool's clock), in completion
+    /// order; the epoch profiler summarizes them into task skew.
+    pub task_us: Vec<u64>,
 }
 
 enum TaskOutcome<R> {
@@ -147,9 +116,9 @@ pub struct WorkerPool {
     trace: Option<TraceLog>,
     soft_deadline: Option<Duration>,
     hard_deadline: Option<Duration>,
-    /// The clock stage deadlines are measured on. Virtual under
-    /// simulation, so a hung stage's hard deadline fires in virtual
-    /// time instead of stalling the suite.
+    /// The clock task durations, queue waits and stage deadlines are
+    /// measured on. Virtual under simulation, so a hung stage's hard
+    /// deadline fires in virtual time instead of stalling the suite.
     clock: ClockRef,
 }
 
@@ -195,7 +164,8 @@ impl WorkerPool {
         self
     }
 
-    /// Measure stage deadlines on `clock` instead of the system clock.
+    /// Measure tasks and stage deadlines on `clock` instead of the
+    /// system clock.
     pub fn with_clock(mut self, clock: ClockRef) -> WorkerPool {
         self.clock = clock;
         self
@@ -235,7 +205,7 @@ impl WorkerPool {
     }
 
     /// Run `tasks` on the pool and return their results **in task-index
-    /// order**, together with timing stats.
+    /// order**, together with their durations.
     ///
     /// All tasks are always driven to completion before this returns,
     /// even when some fail: a task owns state moved into its closure,
@@ -250,7 +220,7 @@ impl WorkerPool {
     ) -> Result<ScatterResult<R>> {
         let n = tasks.len();
         if n == 0 {
-            return Ok(ScatterResult { results: Vec::new(), stats: ScatterStats::default() });
+            return Ok(ScatterResult { results: Vec::new(), task_us: Vec::new() });
         }
         let queue = {
             let core = self.core.lock().unwrap_or_else(|p| p.into_inner());
@@ -266,7 +236,7 @@ impl WorkerPool {
             let hist = hist.clone();
             let trace = self.trace.clone();
             let stage = stage.to_string();
-            let enqueued = Instant::now();
+            let enqueued = self.clock.monotonic_us();
             // Under a virtual clock the task must count as runnable
             // from enqueue to completion, or the simulation would
             // fast-forward past deadlines while the task computes: the
@@ -276,20 +246,20 @@ impl WorkerPool {
             let job: Job = Box::new(move || {
                 let _scope = clock.enter_scope();
                 drop(pin);
-                let queue_wait_us = enqueued.elapsed().as_micros() as u64;
+                let started = clock.monotonic_us();
+                let queue_wait_us = started.saturating_sub(enqueued);
                 let span = trace.as_ref().map(|t| {
                     t.span(
                         &format!("task:{stage}"),
                         &[("task", index.to_string().as_str())],
                     )
                 });
-                let started = Instant::now();
                 let outcome = match panic::catch_unwind(AssertUnwindSafe(task)) {
                     Ok(Ok(r)) => TaskOutcome::Ok(r),
                     Ok(Err(e)) => TaskOutcome::Err(e),
                     Err(payload) => TaskOutcome::Panic(payload),
                 };
-                let duration_us = started.elapsed().as_micros() as u64;
+                let duration_us = clock.monotonic_us().saturating_sub(started);
                 drop(span);
                 if let Some(h) = &hist {
                     h.observe(duration_us);
@@ -313,7 +283,8 @@ impl WorkerPool {
         stage: &str,
     ) -> Result<ScatterResult<R>> {
         let mut slots: Vec<Option<TaskOutcome<R>>> = (0..n).map(|_| None).collect();
-        let mut stats = ScatterStats { tasks: n as u64, ..ScatterStats::default() };
+        let mut task_us = Vec::with_capacity(n);
+        let mut max_queue_wait_us = 0;
         let started_us = self.clock.monotonic_us();
         let mut soft_noted = false;
         for done in 0..n {
@@ -371,14 +342,13 @@ impl WorkerPool {
                     }
                 }
             };
-            stats.max_task_duration_us = stats.max_task_duration_us.max(report.duration_us);
-            stats.max_queue_wait_us = stats.max_queue_wait_us.max(report.queue_wait_us);
-            stats.task_durations_us.push(report.duration_us);
+            max_queue_wait_us = max_queue_wait_us.max(report.queue_wait_us);
+            task_us.push(report.duration_us);
             slots[report.index] = Some(report.outcome);
         }
         if let Some(m) = &self.metrics {
             m.gauge("ss_task_queue_wait_us", &[("stage", stage)])
-                .set(stats.max_queue_wait_us as i64);
+                .set(max_queue_wait_us as i64);
         }
         // Every task has finished; resolve failures deterministically.
         let mut first_err: Option<SsError> = None;
@@ -396,7 +366,7 @@ impl WorkerPool {
         }
         match first_err {
             Some(e) => Err(e),
-            None => Ok(ScatterResult { results, stats }),
+            None => Ok(ScatterResult { results, task_us }),
         }
     }
 
@@ -443,6 +413,7 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     fn boxed<R: Send + 'static>(
         f: impl FnOnce() -> Result<R> + Send + 'static,
@@ -467,7 +438,7 @@ mod tests {
                 .collect();
             let out = pool.scatter("test", tasks).unwrap();
             assert_eq!(out.results, (0..16u64).map(|i| i * 10).collect::<Vec<_>>());
-            assert_eq!(out.stats.tasks, 16);
+            assert_eq!(out.task_us.len(), 16);
         }
     }
 
@@ -542,7 +513,7 @@ mod tests {
             .scatter("test", Vec::<Box<dyn FnOnce() -> Result<u64> + Send>>::new())
             .unwrap();
         assert!(out.results.is_empty());
-        assert_eq!(out.stats, ScatterStats::default());
+        assert!(out.task_us.is_empty());
     }
 
     #[test]
@@ -654,48 +625,26 @@ mod tests {
     }
 
     #[test]
-    fn stats_absorb_takes_max_and_sums_tasks() {
-        let mut a = ScatterStats {
-            tasks: 2,
-            max_task_duration_us: 10,
-            max_queue_wait_us: 3,
-            task_durations_us: vec![4, 10],
-        };
-        a.absorb(ScatterStats {
-            tasks: 3,
-            max_task_duration_us: 7,
-            max_queue_wait_us: 9,
-            task_durations_us: vec![7, 2, 1],
-        });
-        assert_eq!(
-            a,
-            ScatterStats {
-                tasks: 5,
-                max_task_duration_us: 10,
-                max_queue_wait_us: 9,
-                task_durations_us: vec![4, 10, 7, 2, 1],
-            }
-        );
-    }
-
-    #[test]
-    fn scatter_collects_per_task_durations_for_skew() {
-        let pool = WorkerPool::new(4, None, None);
-        let tasks: Vec<_> = (0..8u64)
+    fn task_durations_are_measured_on_the_pool_clock() {
+        // Each task sleeps a different stretch of virtual time; the
+        // reported durations are exactly those stretches, whatever the
+        // wall time the workers took. One worker per task: a queued
+        // task pins virtual time until a worker picks it up.
+        let sim = ss_common::clock::SimClock::new(0);
+        let pool = WorkerPool::new(4, None, None).with_clock(sim.handle());
+        let tasks: Vec<_> = (0..4u64)
             .map(|i| {
+                let clock = sim.handle();
                 boxed(move || {
-                    std::thread::sleep(std::time::Duration::from_micros(i * 100));
+                    clock.sleep(Duration::from_millis(5 * i));
                     Ok(i)
                 })
             })
             .collect();
         let out = pool.scatter("test", tasks).unwrap();
-        assert_eq!(out.stats.task_durations_us.len(), 8);
-        let skew = out.stats.skew().expect("skew stats for 8 tasks");
-        assert_eq!(skew.tasks, 8);
-        assert!(skew.min_us <= skew.p50_us);
-        assert!(skew.p50_us <= skew.p99_us);
-        assert!(skew.p99_us <= skew.max_us);
-        assert_eq!(skew.max_us, out.stats.max_task_duration_us);
+        assert_eq!(out.results, vec![0, 1, 2, 3]);
+        let mut durations = out.task_us;
+        durations.sort_unstable();
+        assert_eq!(durations, vec![0, 5_000, 10_000, 15_000]);
     }
 }

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::prelude::*;
-use ss_common::{SimClock, XorShift64};
+use ss_common::{EpochProfile, SimClock, XorShift64};
 use ss_core::ha::{HaConfig, StandbyQuery, StandbyStatus};
 use ss_core::microbatch::{failpoints, MicroBatchConfig, MicroBatchExecution};
 use ss_exec::MemoryCatalog;
@@ -73,6 +73,9 @@ pub struct SimReport {
     pub failovers: u32,
     /// Dead incarnations whose durable writes were all fenced.
     pub fenced_zombies: u32,
+    /// The final leader's retained epoch profiles, timed on the
+    /// virtual clock.
+    pub profiles: Vec<EpochProfile>,
 }
 
 struct Trace {
@@ -469,6 +472,7 @@ fn run(seed: u64, parallelism: Option<usize>) -> SimReport {
         epochs: leader_engine.current_epoch(),
         failovers,
         fenced_zombies,
+        profiles: leader_engine.profiler().profiles(),
         trace: trace.out,
     }
 }

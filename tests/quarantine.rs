@@ -16,8 +16,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ss_common::fault::{FaultMode, FaultRegistry, FaultTrigger};
+use ss_common::profile::PHASE_QUARANTINE_PROBE;
 use ss_common::{Column, ErrorPolicy, RetryPolicy, XorShift64};
-use ss_core::microbatch::{failpoints, MicroBatchConfig, MicroBatchExecution};
+use ss_core::microbatch::{failpoints, EpochRun, MicroBatchConfig, MicroBatchExecution};
 use ss_core::query::TriggerPolicy;
 use ss_exec::MemoryCatalog;
 use ss_expr::expr::{Expr, ScalarUdf};
@@ -250,6 +251,57 @@ fn quarantine_is_deterministic_across_crash_restart() {
         assert_eq!(quarantined_vs, poison, "seed {seed}: wrong rows quarantined");
     }
     let _ = std::panic::take_hook();
+}
+
+/// An isolating epoch spends most of its time probing each input row
+/// alone. The profiler attributes that to its own top-level phase, so
+/// the phase tree still accounts for the epoch's time.
+#[test]
+fn isolation_probing_is_a_profiled_phase() {
+    std::panic::set_hook(Box::new(|_| {}));
+    let bus = Arc::new(MessageBus::new());
+    bus.create_topic("in", 2).unwrap();
+    // One uncapped epoch per trigger, so the probed epoch below is big
+    // enough that probing, not per-epoch overhead, dominates it.
+    let config = MicroBatchConfig {
+        error_policy: ErrorPolicy::Quarantine { max_per_epoch: 64 },
+        max_records_per_trigger: None,
+        ..base_config(FaultRegistry::new())
+    };
+    let mut eng = build_engine(
+        bus.clone(),
+        MemorySink::new("out"),
+        Arc::new(MemoryBackend::new()),
+        config,
+    )
+    .unwrap();
+    feed(&bus, 20, 0, false); // rows 0..20 include poison v=13
+    eng.process_available().unwrap();
+    assert!(eng.isolation_active(), "poison never engaged isolation");
+
+    feed(&bus, 400, 20, false);
+    let before = eng.profiler().len();
+    let EpochRun::Ran(_) = eng.run_epoch().unwrap() else {
+        panic!("the next trigger had new data");
+    };
+    let _ = std::panic::take_hook();
+    let profiles = eng.profiler().profiles();
+    assert_eq!(profiles.len(), before + 1);
+    let p = profiles.last().unwrap();
+    assert!(
+        p.phase_us(PHASE_QUARANTINE_PROBE) > 0
+            && p.phases.iter().any(|d| d.name == PHASE_QUARANTINE_PROBE && d.parent.is_none()),
+        "the isolating epoch must report a top-level `{PHASE_QUARANTINE_PROBE}` phase: {:?}",
+        p.phases
+    );
+    assert!(
+        p.coverage() >= 0.95,
+        "epoch {}: phase tree covers only {:.1}% of {}µs ({:?})",
+        p.epoch,
+        p.coverage() * 100.0,
+        p.total_us,
+        p.phases
+    );
 }
 
 /// `ErrorPolicy::Drop` discards poison silently: clean output, empty

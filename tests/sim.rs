@@ -39,6 +39,37 @@ fn same_seed_reproduces_a_byte_identical_trace() {
     );
 }
 
+/// Epoch profiles are timed on the engine's clock, so under the
+/// virtual clock one seed reproduces every retained profile: the same
+/// phase tree, totals and task skew. (End-to-end latency is left out:
+/// it is measured against the bus's real-clock ingest stamps.)
+#[test]
+fn same_seed_reproduces_identical_epoch_profiles() {
+    let mut timed_us = 0;
+    // Seeds whose final leader ran epochs through retry backoffs.
+    for seed in [11, 12] {
+        let a = run_chaos_serial(seed);
+        let b = run_chaos_serial(seed);
+        assert!(!a.profiles.is_empty(), "seed {seed}: no profiles retained");
+        let shape = |r: &structured_streaming::sim::SimReport| -> Vec<_> {
+            r.profiles
+                .iter()
+                .map(|p| (p.epoch, p.phases.clone(), p.total_us, p.tasks))
+                .collect()
+        };
+        assert_eq!(shape(&a), shape(&b), "seed {seed}: profiles diverged");
+        for p in &a.profiles {
+            // Virtual time only passes in clock sleeps, and every sleep
+            // happens inside a phase: the tree accounts for all of it.
+            assert_eq!(p.attributed_us(), p.total_us, "seed {seed}: {p:?}");
+            timed_us += p.total_us;
+        }
+    }
+    // Retry backoffs elapse on the virtual clock inside epochs, so the
+    // profiles measure virtual time, not zeros.
+    assert!(timed_us > 0, "no epoch took any virtual time");
+}
+
 #[test]
 fn different_seeds_explore_different_schedules() {
     let a = run_chaos_serial(7);
